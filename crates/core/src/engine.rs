@@ -1,16 +1,15 @@
 //! Driving protocols to completion and collecting outcomes.
 //!
-//! Two paths lead through this module:
-//!
-//! * [`simulate`] — the hot path. It knows the concrete protocol type from
-//!   [`ProtocolKind`], so the whole run loop is monomorphized over both the
-//!   protocol and the engine's fast RNG ([`SmallRng`], xoshiro256++): no
-//!   per-round virtual calls, no per-sample `dyn RngCore` dispatch, and no
-//!   history allocation unless [`ProtocolOptions::record_history`] asks for
-//!   it.
-//! * [`run_to_completion`] — the flexible path for callers holding any
-//!   `P: Protocol` (including `Box<dyn Protocol>` from [`build_protocol`])
-//!   and their own `dyn RngCore`. It always records history, as documented.
+//! Every run goes through one round loop, [`drive`], over a [`Rounds`]
+//! implementation: [`Sequential`] (a protocol plus the generator it draws
+//! from) or one of the sharded engine's vertex and agent engines. The loop
+//! owns the stop rule (complete, stalled, round cap), the [`RoundRecord`]
+//! history (allocated only when [`ProtocolOptions::record_history`] asks for
+//! it) and the round boundaries at which resumable runs checkpoint. The
+//! `simulate*` and `resume*` entry points keep their protocol in a
+//! [`SimWorkspace`] slot and step it with the engine's fast RNG
+//! ([`SmallRng`], xoshiro256++): one dispatch per round, with every draw
+//! monomorphized over the concrete protocol and generator.
 //!
 //! **Determinism guarantee:** a simulation outcome is a pure function of
 //! `(graph, source, spec)`. The workspace supports two determinism
@@ -33,23 +32,176 @@
 //! trial, so a sweep's results are independent of scheduling.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use rumor_graphs::{AnyTopology, Graph, Topology, VertexId};
 
 use std::fmt;
 
-use crate::metrics::{BroadcastOutcome, RoundRecord};
+use crate::metrics::{BroadcastOutcome, EdgeTrafficStats, RoundRecord};
 use crate::options::{AgentConfig, ProtocolOptions};
+use crate::parallel;
 use crate::protocol::{FastStep, Protocol, ProtocolKind};
 use crate::protocols::{
     AsyncPush, AsyncPushPull, MeetExchange, Pull, Push, PushPull, PushPullVisitExchange,
     VisitExchange,
 };
 use crate::snapshot::{
-    CheckpointCadence, Checkpointable, ResumableRun, SimSnapshot, SnapshotError,
+    CheckpointCadence, Checkpointable, Checkpoints, ResumableRun, SimSnapshot, SnapshotError,
 };
 use rumor_walks::AgentCount;
+
+/// Where a run stands between rounds: what [`drive`] records per round and
+/// reports at the end.
+pub(crate) struct Progress {
+    pub(crate) round: u64,
+    pub(crate) complete: bool,
+    /// Incomplete, and no future round can change the state (see
+    /// [`FastStep::is_stalled`]).
+    pub(crate) stalled: bool,
+    pub(crate) informed_vertices: usize,
+    pub(crate) informed_agents: usize,
+    pub(crate) messages_last: u64,
+    pub(crate) messages_total: u64,
+}
+
+/// One broadcast advanced round by round: what [`drive`] needs from a run.
+pub(crate) trait Rounds {
+    /// Executes one synchronous round.
+    fn step(&mut self);
+    /// Where the run stands now.
+    fn progress(&self) -> Progress;
+    /// The protocol's name, for the outcome.
+    fn name(&self) -> &'static str;
+    /// Per-edge traffic statistics, if recorded.
+    fn edge_traffic(&self) -> Option<EdgeTrafficStats> {
+        None
+    }
+}
+
+/// The round loop. Steps `run` until it completes, stalls, or has executed
+/// `max_rounds` rounds. With `history` given (a resumed run passes the
+/// snapshot's prefix) one [`RoundRecord`] is appended per round. After every
+/// round that did not end the run, `on_round` sees the run and the history
+/// so far; a snapshot it returns suspends the run there. Runs without
+/// checkpoints pass `|_, _| None`.
+pub(crate) fn drive<E: Rounds>(
+    run: &mut E,
+    max_rounds: u64,
+    mut history: Option<Vec<RoundRecord>>,
+    mut on_round: impl FnMut(&E, &[RoundRecord]) -> Option<SimSnapshot>,
+) -> ResumableRun {
+    let mut now = run.progress();
+    while !now.complete && now.round < max_rounds {
+        run.step();
+        now = run.progress();
+        if let Some(history) = &mut history {
+            history.push(RoundRecord {
+                round: now.round,
+                informed_vertices: now.informed_vertices,
+                informed_agents: now.informed_agents,
+                messages: now.messages_last,
+            });
+        }
+        // A stalled run (disconnected graph: boundary empty, broadcast
+        // incomplete) can never change state again — stop now with
+        // `completed == false` instead of spinning to the cap.
+        if now.complete || now.stalled {
+            break;
+        }
+        if let Some(snapshot) = on_round(run, history.as_deref().unwrap_or_default()) {
+            return ResumableRun::Suspended(snapshot);
+        }
+    }
+    ResumableRun::Finished(BroadcastOutcome {
+        protocol: run.name().to_string(),
+        rounds: now.round,
+        completed: now.complete,
+        informed_vertices: now.informed_vertices,
+        informed_agents: now.informed_agents,
+        total_messages: now.messages_total,
+        history: history.unwrap_or_default(),
+        edge_traffic: run.edge_traffic(),
+    })
+}
+
+/// [`drive`] without checkpoints: the run can only finish.
+fn drive_to_end<E: Rounds>(
+    run: &mut E,
+    max_rounds: u64,
+    history: Option<Vec<RoundRecord>>,
+) -> BroadcastOutcome {
+    drive(run, max_rounds, history, |_, _| None)
+        .finished()
+        .expect("nothing suspends a run without checkpoints")
+}
+
+/// How [`Sequential`] advances a protocol one round with a generator of
+/// type `R`: through the monomorphized [`FastStep`] for the engine's own
+/// [`SmallRng`], or through the object-safe [`Protocol::step`] for a
+/// caller's `dyn RngCore` (a path without stall detection).
+pub(crate) trait Advance<R: ?Sized>: Protocol {
+    /// One synchronous round drawing from `rng`.
+    fn advance(&mut self, rng: &mut R);
+    /// See [`FastStep::is_stalled`].
+    fn stalled(&self) -> bool {
+        false
+    }
+}
+
+impl<P: FastStep> Advance<SmallRng> for P {
+    #[inline]
+    fn advance(&mut self, rng: &mut SmallRng) {
+        self.fast_step(rng);
+    }
+
+    #[inline]
+    fn stalled(&self) -> bool {
+        self.is_stalled()
+    }
+}
+
+impl<'r, P: Protocol + ?Sized> Advance<dyn RngCore + 'r> for P {
+    fn advance(&mut self, rng: &mut (dyn RngCore + 'r)) {
+        self.step(rng);
+    }
+}
+
+/// The sequential engine as a [`Rounds`]: a protocol plus the one generator
+/// it draws from.
+struct Sequential<'a, P: ?Sized, R: ?Sized> {
+    protocol: &'a mut P,
+    rng: &'a mut R,
+}
+
+impl<P: Advance<R> + ?Sized, R: ?Sized> Rounds for Sequential<'_, P, R> {
+    #[inline]
+    fn step(&mut self) {
+        self.protocol.advance(self.rng);
+    }
+
+    fn progress(&self) -> Progress {
+        let p = &*self.protocol;
+        Progress {
+            round: p.round(),
+            complete: p.is_complete(),
+            stalled: p.stalled(),
+            informed_vertices: p.informed_vertex_count(),
+            informed_agents: p.informed_agent_count(),
+            messages_last: p.messages_last_round(),
+            messages_total: p.messages_sent(),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        self.protocol.name()
+    }
+
+    fn edge_traffic(&self) -> Option<EdgeTrafficStats> {
+        self.protocol
+            .edge_traffic_stats(self.protocol.round().max(1))
+    }
+}
 
 /// Runs `protocol` until it completes or `max_rounds` rounds have elapsed, and
 /// collects the outcome.
@@ -81,141 +233,8 @@ pub fn run_to_completion<P>(
 where
     P: Protocol + ?Sized,
 {
-    let mut history = Vec::new();
-    while !protocol.is_complete() && protocol.round() < max_rounds {
-        protocol.step(rng);
-        history.push(RoundRecord {
-            round: protocol.round(),
-            informed_vertices: protocol.informed_vertex_count(),
-            informed_agents: protocol.informed_agent_count(),
-            messages: protocol.messages_last_round(),
-        });
-    }
-    collect_outcome(protocol, history)
-}
-
-/// Monomorphized run loop: `P` and `R` are concrete here, so every protocol
-/// round inlines down to the RNG's arithmetic. `record_history` is threaded
-/// through (rather than read from the protocol) so that sweeps which do not
-/// want history never allocate a single [`RoundRecord`].
-fn run_fast<P: FastStep, R: Rng + ?Sized>(
-    protocol: &mut P,
-    max_rounds: u64,
-    record_history: bool,
-    rng: &mut R,
-) -> BroadcastOutcome {
-    let mut history = Vec::new();
-    if record_history {
-        while !protocol.is_complete() && protocol.round() < max_rounds {
-            protocol.fast_step(rng);
-            history.push(RoundRecord {
-                round: protocol.round(),
-                informed_vertices: protocol.informed_vertex_count(),
-                informed_agents: protocol.informed_agent_count(),
-                messages: protocol.messages_last_round(),
-            });
-            // A stalled protocol (disconnected graph: boundary empty,
-            // broadcast incomplete) can never change state again — stop now
-            // with `completed == false` instead of spinning to the cap.
-            if protocol.is_stalled() {
-                break;
-            }
-        }
-    } else {
-        while !protocol.is_complete() && protocol.round() < max_rounds {
-            protocol.fast_step(rng);
-            if protocol.is_stalled() {
-                break;
-            }
-        }
-    }
-    collect_outcome(protocol, history)
-}
-
-/// The spec-derived constants of one resumable sequential run, bundled so
-/// [`run_fast_resumable`] keeps a readable arity across the six protocol
-/// slots.
-#[derive(Clone, Copy)]
-struct ResumableParams {
-    spec_digest: u64,
-    max_rounds: u64,
-    record_history: bool,
-    cadence: CheckpointCadence,
-}
-
-impl ResumableParams {
-    fn of(spec: &SimulationSpec, cadence: CheckpointCadence) -> Self {
-        ResumableParams {
-            spec_digest: spec.digest(),
-            max_rounds: spec.max_rounds,
-            record_history: spec.options.record_history,
-            cadence,
-        }
-    }
-}
-
-/// The resumable variant of [`run_fast`] for the sequential engine: same
-/// loop, but after each round where a checkpoint is due it captures a
-/// [`SimSnapshot`] (including the live RNG state) and offers it to `sink`.
-/// A `false` from the sink suspends the run at that snapshot. `history`
-/// carries the rounds already recorded before a resume, so a resumed run's
-/// outcome has the complete curve.
-fn run_fast_resumable<P>(
-    protocol: &mut P,
-    params: ResumableParams,
-    rng: &mut SmallRng,
-    mut history: Vec<RoundRecord>,
-    sink: &mut dyn FnMut(&SimSnapshot) -> bool,
-) -> ResumableRun
-where
-    P: FastStep + Checkpointable,
-{
-    let ResumableParams {
-        spec_digest,
-        max_rounds,
-        record_history,
-        cadence,
-    } = params;
-    let mut last_checkpoint = std::time::Instant::now();
-    while !protocol.is_complete() && protocol.round() < max_rounds {
-        protocol.fast_step(rng);
-        if record_history {
-            history.push(RoundRecord {
-                round: protocol.round(),
-                informed_vertices: protocol.informed_vertex_count(),
-                informed_agents: protocol.informed_agent_count(),
-                messages: protocol.messages_last_round(),
-            });
-        }
-        if protocol.is_complete() || protocol.is_stalled() {
-            break;
-        }
-        if cadence.due(protocol.round(), &mut last_checkpoint) {
-            let snapshot = protocol.capture(spec_digest, Some(rng.state()), &history);
-            if !sink(&snapshot) {
-                return ResumableRun::Suspended(snapshot);
-            }
-        }
-    }
-    ResumableRun::Finished(collect_outcome(protocol, history))
-}
-
-fn collect_outcome<P: Protocol + ?Sized>(
-    protocol: &P,
-    history: Vec<RoundRecord>,
-) -> BroadcastOutcome {
-    let rounds = protocol.round();
-    let edge_traffic = protocol.edge_traffic_stats(rounds.max(1));
-    BroadcastOutcome {
-        protocol: protocol.name().to_string(),
-        rounds,
-        completed: protocol.is_complete(),
-        informed_vertices: protocol.informed_vertex_count(),
-        informed_agents: protocol.informed_agent_count(),
-        total_messages: protocol.messages_sent(),
-        history,
-        edge_traffic,
-    }
+    let mut run = Sequential { protocol, rng };
+    drive_to_end(&mut run, max_rounds, Some(Vec::new()))
 }
 
 /// One-call simulation: builds a protocol of `kind` on `graph` with the rumor
@@ -223,9 +242,9 @@ fn collect_outcome<P: Protocol + ?Sized>(
 /// outcome. The run is fully determined by `seed` (see the module docs for
 /// the determinism guarantee).
 ///
-/// This is the hot path: the protocol is constructed concretely (no trait
-/// object) and driven by the engine's fast RNG, so per-sample costs are fully
-/// inlined.
+/// This is the hot path: the protocol is constructed concretely and driven
+/// by the engine's fast RNG. The driver reaches it through one trait object
+/// per round call, and every draw inside a round is fully inlined.
 ///
 /// # Panics
 ///
@@ -267,15 +286,15 @@ pub fn try_simulate_on<G: Topology>(
     spec: &SimulationSpec,
 ) -> Result<BroadcastOutcome, SpecError> {
     spec.validate(graph, source)?;
-    Ok(simulate_on_validated(graph, source, spec))
+    Ok(run_fresh(graph, source, spec, &mut SimWorkspace::new()))
 }
 
 /// [`simulate`] over any [`Topology`] backend, monomorphized: the CSR,
 /// implicit, and generated instantiations each compile their own
-/// fully-inlined run loops (the `FastStep` pattern, one level up). For equal
-/// degrees the backends consume randomness identically and resolve sampled
-/// indices to identical neighbors, so the outcome is **bit-identical across
-/// backends** — `tests/implicit_topology.rs` and
+/// fully-inlined round bodies (the `FastStep` pattern, one level up). For
+/// equal degrees the backends consume randomness identically and resolve
+/// sampled indices to identical neighbors, so the outcome is
+/// **bit-identical across backends** — `tests/implicit_topology.rs` and
 /// `tests/generated_topology.rs` pin this for every family, protocol,
 /// engine, and thread count.
 pub fn simulate_on<G: Topology>(
@@ -286,59 +305,7 @@ pub fn simulate_on<G: Topology>(
     if let Err(e) = spec.validate(graph, source) {
         panic!("invalid simulation spec: {e}");
     }
-    simulate_on_validated(graph, source, spec)
-}
-
-/// [`simulate_on`] after validation (shared by the panicking and `try_`
-/// entry points).
-fn simulate_on_validated<G: Topology>(
-    graph: &G,
-    source: VertexId,
-    spec: &SimulationSpec,
-) -> BroadcastOutcome {
-    if let Engine::Sharded { threads } = spec.engine {
-        if crate::parallel::supports(spec) {
-            return crate::parallel::simulate_sharded(
-                graph,
-                source,
-                spec,
-                crate::parallel::resolve_threads(threads),
-            );
-        }
-        // Unsupported configurations (combined protocol, edge-traffic
-        // observability) fall back to the sequential reference engine —
-        // still deterministic, just under the draw-order contract.
-    }
-    let mut rng = SmallRng::seed_from_u64(spec.seed);
-    let record = spec.options.record_history;
-    let rounds = spec.max_rounds;
-    match spec.kind {
-        ProtocolKind::Push => {
-            let mut p = Push::new(graph, source, spec.options);
-            run_fast(&mut p, rounds, record, &mut rng)
-        }
-        ProtocolKind::Pull => {
-            let mut p = Pull::new(graph, source, spec.options);
-            run_fast(&mut p, rounds, record, &mut rng)
-        }
-        ProtocolKind::PushPull => {
-            let mut p = PushPull::new(graph, source, spec.options);
-            run_fast(&mut p, rounds, record, &mut rng)
-        }
-        ProtocolKind::VisitExchange => {
-            let mut p = VisitExchange::new(graph, source, &spec.agents, spec.options, &mut rng);
-            run_fast(&mut p, rounds, record, &mut rng)
-        }
-        ProtocolKind::MeetExchange => {
-            let mut p = MeetExchange::new(graph, source, &spec.agents, spec.options, &mut rng);
-            run_fast(&mut p, rounds, record, &mut rng)
-        }
-        ProtocolKind::PushPullVisitExchange => {
-            let mut p =
-                PushPullVisitExchange::new(graph, source, &spec.agents, spec.options, &mut rng);
-            run_fast(&mut p, rounds, record, &mut rng)
-        }
-    }
+    run_fresh(graph, source, spec, &mut SimWorkspace::new())
 }
 
 /// [`simulate`] over a runtime-selected [`AnyTopology`]: matches the backend
@@ -393,6 +360,28 @@ enum Slot<'g, G: Topology> {
     Combined(PushPullVisitExchange<'g, G>),
 }
 
+/// What a workspace slot offers the driver: stepping with the engine's
+/// generator, plus checkpoint capture and restore.
+trait Pooled: Advance<SmallRng> + Checkpointable {}
+
+impl<P: Advance<SmallRng> + Checkpointable> Pooled for P {}
+
+impl<G: Topology> Slot<'_, G> {
+    /// The slot's protocol behind the driver's interface: the one dispatch
+    /// on the slot's kind. The driver's per-round calls are indirect; the
+    /// round body behind them is monomorphized.
+    fn protocol(&mut self) -> &mut dyn Pooled {
+        match self {
+            Slot::Push(p) => p,
+            Slot::Pull(p) => p,
+            Slot::PushPull(p) => p,
+            Slot::VisitExchange(p) => p,
+            Slot::MeetExchange(p) => p,
+            Slot::Combined(p) => p,
+        }
+    }
+}
+
 impl<'g, G: Topology> SimWorkspace<'g, G> {
     /// An empty workspace; buffers materialize on first use.
     pub fn new() -> Self {
@@ -405,9 +394,11 @@ impl<'g, G: Topology> SimWorkspace<'g, G> {
     /// off. The caller supplies the same `(graph, source, spec)` the
     /// snapshot came from; the snapshot's spec digest is checked against
     /// `spec` and mismatches are rejected with
-    /// [`SnapshotError::SpecMismatch`]. A snapshot without generator state
-    /// (one captured by the sharded engine, whose counter-based streams
-    /// re-derive from the round counter) is rejected with
+    /// [`SnapshotError::SpecMismatch`], and a snapshot that names vertices
+    /// or agents this graph does not have is rejected with
+    /// [`SnapshotError::TopologyMismatch`]. A snapshot without generator
+    /// state (one captured by the sharded engine, whose counter-based
+    /// streams re-derive from the round counter) is rejected with
     /// [`SnapshotError::EngineMismatch`] — resume those via [`resume_on`]
     /// under the sharded spec instead.
     ///
@@ -421,28 +412,8 @@ impl<'g, G: Topology> SimWorkspace<'g, G> {
         spec: &SimulationSpec,
         snapshot: &SimSnapshot,
     ) -> Result<SmallRng, SnapshotError> {
-        let expected = spec.digest();
-        if snapshot.spec_digest != expected {
-            return Err(SnapshotError::SpecMismatch {
-                expected,
-                found: snapshot.spec_digest,
-            });
-        }
-        let state = snapshot.rng.ok_or(SnapshotError::EngineMismatch)?;
-        // Prime the slot exactly as a fresh run would (the construction
-        // placement draws are discarded — the restored state overwrites
-        // them), then overwrite the protocol state from the snapshot.
-        let mut rng = SmallRng::seed_from_u64(spec.seed);
-        let slot = ensure_slot(self, graph, source, spec, &mut rng);
-        match slot {
-            Slot::Push(p) => p.restore(snapshot),
-            Slot::Pull(p) => p.restore(snapshot),
-            Slot::PushPull(p) => p.restore(snapshot),
-            Slot::VisitExchange(p) => p.restore(snapshot),
-            Slot::MeetExchange(p) => p.restore(snapshot),
-            Slot::Combined(p) => p.restore(snapshot),
-        }
-        Ok(SmallRng::from_state(state))
+        snapshot.check(graph, spec)?;
+        prime(self, graph, source, spec, Some(snapshot)).map(|(_, rng)| rng)
     }
 }
 
@@ -467,31 +438,20 @@ pub fn simulate_in<'g, G: Topology>(
     if let Err(e) = spec.validate(graph, source) {
         panic!("invalid simulation spec: {e}");
     }
-    let mut rng = SmallRng::seed_from_u64(spec.seed);
-    let slot = ensure_slot(workspace, graph, source, spec, &mut rng);
-    let record = spec.options.record_history;
-    let rounds = spec.max_rounds;
-    match slot {
-        Slot::Push(p) => run_fast(p, rounds, record, &mut rng),
-        Slot::Pull(p) => run_fast(p, rounds, record, &mut rng),
-        Slot::PushPull(p) => run_fast(p, rounds, record, &mut rng),
-        Slot::VisitExchange(p) => run_fast(p, rounds, record, &mut rng),
-        Slot::MeetExchange(p) => run_fast(p, rounds, record, &mut rng),
-        Slot::Combined(p) => run_fast(p, rounds, record, &mut rng),
-    }
+    run_fresh(graph, source, spec, workspace)
 }
 
 /// Primes the workspace slot for `(graph, source, spec)` — reset-in-place
 /// when the fingerprint matches, fresh construction otherwise — consuming
 /// the same placement draws from `rng` either way, and returns the ready
-/// protocol slot.
+/// protocol.
 fn ensure_slot<'g, 's, G: Topology>(
     workspace: &'s mut SimWorkspace<'g, G>,
     graph: &'g G,
     source: VertexId,
     spec: &SimulationSpec,
     rng: &mut SmallRng,
-) -> &'s mut Slot<'g, G> {
+) -> &'s mut dyn Pooled {
     let graph_addr = graph as *const G as usize;
     // Compare the fingerprint by reference — the key (and its AgentConfig
     // clone) is only materialized when a slot is actually (re)built, so the
@@ -545,7 +505,88 @@ fn ensure_slot<'g, 's, G: Topology>(
         };
         workspace.slot = Some((key, slot));
     }
-    &mut workspace.slot.as_mut().expect("slot just filled").1
+    let (_, slot) = workspace.slot.as_mut().expect("slot just filled");
+    slot.protocol()
+}
+
+/// Readies the workspace's protocol and the sequential generator for a run:
+/// from the start, or from `resume`. A resume primes the slot exactly as a
+/// fresh run would (the construction placement draws are discarded), then
+/// overwrites the protocol state and the generator from the snapshot, which
+/// [`SimSnapshot::check`] must already have accepted.
+fn prime<'g, 's, G: Topology>(
+    workspace: &'s mut SimWorkspace<'g, G>,
+    graph: &'g G,
+    source: VertexId,
+    spec: &SimulationSpec,
+    resume: Option<&SimSnapshot>,
+) -> Result<(&'s mut dyn Pooled, SmallRng), SnapshotError> {
+    let resumed_state = resume
+        .map(|snapshot| snapshot.rng.ok_or(SnapshotError::EngineMismatch))
+        .transpose()?;
+    let mut rng = SmallRng::seed_from_u64(spec.seed);
+    let protocol = ensure_slot(workspace, graph, source, spec, &mut rng);
+    if let (Some(snapshot), Some(state)) = (resume, resumed_state) {
+        protocol.restore(snapshot);
+        rng = SmallRng::from_state(state);
+    }
+    Ok((protocol, rng))
+}
+
+/// Runs a validated spec from the start or from `resume`, offering round
+/// boundaries to `checkpoints`. Every `simulate*` and `resume*` entry point
+/// ends here, on whichever engine the spec selects; a resume is checked here
+/// once ([`SimSnapshot::check`]) before any state is restored.
+fn run_in<'g, G: Topology>(
+    graph: &'g G,
+    source: VertexId,
+    spec: &SimulationSpec,
+    workspace: &mut SimWorkspace<'g, G>,
+    resume: Option<&SimSnapshot>,
+    mut checkpoints: Option<Checkpoints<'_>>,
+) -> Result<ResumableRun, SnapshotError> {
+    if let Some(snapshot) = resume {
+        snapshot.check(graph, spec)?;
+    }
+    let history = spec
+        .options
+        .record_history
+        .then(|| resume.map_or_else(Vec::new, |snapshot| snapshot.history.clone()));
+    if let Engine::Sharded { threads } = spec.engine {
+        if parallel::supports(spec) {
+            let threads = parallel::resolve_threads(threads);
+            let run =
+                parallel::run_sharded(graph, source, spec, threads, resume, history, checkpoints);
+            return Ok(run);
+        }
+        // Unsupported configurations (combined protocol, edge-traffic
+        // observability) fall back to the sequential reference engine —
+        // still deterministic, just under the draw-order contract.
+    }
+    let (protocol, ref mut rng) = prime(workspace, graph, source, spec, resume)?;
+    let mut run = Sequential { protocol, rng };
+    Ok(drive(&mut run, spec.max_rounds, history, |run, history| {
+        checkpoints
+            .as_mut()?
+            .offer(run.protocol.round(), |spec_digest| {
+                run.protocol
+                    .capture(spec_digest, Some(run.rng.state()), history)
+            })
+    }))
+}
+
+/// [`run_in`] from the start without checkpoints: nothing can reject or
+/// suspend it.
+fn run_fresh<'g, G: Topology>(
+    graph: &'g G,
+    source: VertexId,
+    spec: &SimulationSpec,
+    workspace: &mut SimWorkspace<'g, G>,
+) -> BroadcastOutcome {
+    run_in(graph, source, spec, workspace, None, None)
+        .ok()
+        .and_then(ResumableRun::finished)
+        .expect("a fresh run without checkpoints finishes")
 }
 
 /// [`simulate_on`] with checkpointing: runs the broadcast and, whenever
@@ -578,10 +619,9 @@ pub fn simulate_resumable<G: Topology>(
 }
 
 /// [`simulate_resumable`] sourcing per-trial state from a pooled
-/// [`SimWorkspace`] (see [`simulate_in`]). Sharded specs delegate to the
-/// sharded engine's own resumable loop; the workspace is used by the
-/// sequential contract (including the sharded engine's documented
-/// sequential fallbacks).
+/// [`SimWorkspace`] (see [`simulate_in`]). Sharded specs run on the sharded
+/// engine; the workspace is used by the sequential contract (including the
+/// sharded engine's documented sequential fallbacks).
 ///
 /// # Panics
 ///
@@ -594,37 +634,10 @@ pub fn simulate_resumable_in<'g, G: Topology>(
     cadence: CheckpointCadence,
     sink: &mut dyn FnMut(&SimSnapshot) -> bool,
 ) -> ResumableRun {
-    assert!(
-        !spec.options.record_edge_traffic,
-        "checkpointing does not support edge-traffic recording"
-    );
-    if let Err(e) = spec.validate(graph, source) {
-        panic!("invalid simulation spec: {e}");
-    }
-    if let Engine::Sharded { threads } = spec.engine {
-        if crate::parallel::supports(spec) {
-            return crate::parallel::simulate_sharded_resumable(
-                graph,
-                source,
-                spec,
-                crate::parallel::resolve_threads(threads),
-                None,
-                cadence,
-                sink,
-            );
-        }
-    }
-    let params = ResumableParams::of(spec, cadence);
-    let mut rng = SmallRng::seed_from_u64(spec.seed);
-    let slot = ensure_slot(workspace, graph, source, spec, &mut rng);
-    match slot {
-        Slot::Push(p) => run_fast_resumable(p, params, &mut rng, Vec::new(), sink),
-        Slot::Pull(p) => run_fast_resumable(p, params, &mut rng, Vec::new(), sink),
-        Slot::PushPull(p) => run_fast_resumable(p, params, &mut rng, Vec::new(), sink),
-        Slot::VisitExchange(p) => run_fast_resumable(p, params, &mut rng, Vec::new(), sink),
-        Slot::MeetExchange(p) => run_fast_resumable(p, params, &mut rng, Vec::new(), sink),
-        Slot::Combined(p) => run_fast_resumable(p, params, &mut rng, Vec::new(), sink),
-    }
+    validate_resumable(graph, source, spec);
+    let checkpoints = Some(Checkpoints::new(spec.digest(), cadence, sink));
+    run_in(graph, source, spec, workspace, None, checkpoints)
+        .expect("only a resumed run can be rejected")
 }
 
 /// Continues a suspended or crashed run from `snapshot`, with the same
@@ -632,8 +645,11 @@ pub fn simulate_resumable_in<'g, G: Topology>(
 /// same `(graph, source, spec)` the snapshot came from — the topology is
 /// reconstructed from its spec rather than serialized — and the snapshot's
 /// spec digest is checked against `spec` ([`SnapshotError::SpecMismatch`]
-/// otherwise). `spec.max_rounds` may exceed the original run's cap (the
-/// digest deliberately ignores it), so a `RoundCapped` run can be extended.
+/// otherwise). A snapshot that names vertices or agents `graph` does not
+/// have (one captured on a different topology) is rejected with
+/// [`SnapshotError::TopologyMismatch`]. `spec.max_rounds` may exceed the
+/// original run's cap (the digest deliberately ignores it), so a
+/// `RoundCapped` run can be extended.
 ///
 /// # Panics
 ///
@@ -665,6 +681,13 @@ pub fn resume_in<'g, G: Topology>(
     cadence: CheckpointCadence,
     sink: &mut dyn FnMut(&SimSnapshot) -> bool,
 ) -> Result<ResumableRun, SnapshotError> {
+    validate_resumable(graph, source, spec);
+    let checkpoints = Some(Checkpoints::new(spec.digest(), cadence, sink));
+    run_in(graph, source, spec, workspace, Some(snapshot), checkpoints)
+}
+
+/// The panicking precondition checks of the resumable entry points.
+fn validate_resumable<G: Topology>(graph: &G, source: VertexId, spec: &SimulationSpec) {
     assert!(
         !spec.options.record_edge_traffic,
         "checkpointing does not support edge-traffic recording"
@@ -672,38 +695,6 @@ pub fn resume_in<'g, G: Topology>(
     if let Err(e) = spec.validate(graph, source) {
         panic!("invalid simulation spec: {e}");
     }
-    if let Engine::Sharded { threads } = spec.engine {
-        if crate::parallel::supports(spec) {
-            let expected = spec.digest();
-            if snapshot.spec_digest != expected {
-                return Err(SnapshotError::SpecMismatch {
-                    expected,
-                    found: snapshot.spec_digest,
-                });
-            }
-            return Ok(crate::parallel::simulate_sharded_resumable(
-                graph,
-                source,
-                spec,
-                crate::parallel::resolve_threads(threads),
-                Some(snapshot),
-                cadence,
-                sink,
-            ));
-        }
-    }
-    let params = ResumableParams::of(spec, cadence);
-    let mut rng = workspace.restore(graph, source, spec, snapshot)?;
-    let history = snapshot.history.clone();
-    let slot = &mut workspace.slot.as_mut().expect("slot restored above").1;
-    Ok(match slot {
-        Slot::Push(p) => run_fast_resumable(p, params, &mut rng, history, sink),
-        Slot::Pull(p) => run_fast_resumable(p, params, &mut rng, history, sink),
-        Slot::PushPull(p) => run_fast_resumable(p, params, &mut rng, history, sink),
-        Slot::VisitExchange(p) => run_fast_resumable(p, params, &mut rng, history, sink),
-        Slot::MeetExchange(p) => run_fast_resumable(p, params, &mut rng, history, sink),
-        Slot::Combined(p) => run_fast_resumable(p, params, &mut rng, history, sink),
-    })
 }
 
 /// Like [`simulate`], but for the asynchronous protocol variants that are not
@@ -717,14 +708,15 @@ pub fn simulate_async(
     max_rounds: u64,
     seed: u64,
 ) -> BroadcastOutcome {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    if push_pull {
-        let mut p = AsyncPushPull::new(graph, source, options);
-        run_fast(&mut p, max_rounds, options.record_history, &mut rng)
+    let mut protocol: Box<dyn Advance<SmallRng> + '_> = if push_pull {
+        Box::new(AsyncPushPull::new(graph, source, options))
     } else {
-        let mut p = AsyncPush::new(graph, source, options);
-        run_fast(&mut p, max_rounds, options.record_history, &mut rng)
-    }
+        Box::new(AsyncPush::new(graph, source, options))
+    };
+    let protocol = protocol.as_mut();
+    let rng = &mut SmallRng::seed_from_u64(seed);
+    let mut run = Sequential { protocol, rng };
+    drive_to_end(&mut run, max_rounds, options.record_history.then(Vec::new))
 }
 
 /// Which simulation engine drives a run — i.e. which of the two determinism

@@ -80,17 +80,21 @@
 //!   pins the two engines' round distributions against each other.
 //!   [`resolve_threads`] maps a requested count (`0` = auto) through the
 //!   `RUMOR_THREADS` environment variable and the host's parallelism.
-//! * Per-round history is recorded only when
+//! * **One round driver:** every run — both engines, every protocol,
+//!   fresh, resumed or checkpointing — steps through the same loop, which
+//!   owns the stop rule, the checkpoint boundaries and the per-round
+//!   history. History is recorded only when
 //!   [`ProtocolOptions::record_history`] is set; large sweeps allocate no
 //!   [`RoundRecord`]s at all.
-//! * **Three topology backends, one bit-identical contract:** every
+//! * **Four topology backends, one bit-identical contract:** every
 //!   protocol and both engines are generic over `rumor_graphs::Topology` —
 //!   the CSR `Graph`, the closed-form `ImplicitGraph` (structured families
-//!   as `O(1)` parameters, enabling 10⁸-vertex instances), or the seed-keyed
+//!   as `O(1)` parameters, enabling 10⁸-vertex instances), the seed-keyed
 //!   `GeneratedGraph` (G(n, p) / Chung–Lu random families derived on demand
-//!   from a counter-based hash in `O(n)` memory). [`simulate_on`]
-//!   monomorphizes per backend, [`simulate_topology`] dispatches a runtime
-//!   choice once, and `tests/implicit_topology.rs` +
+//!   from a counter-based hash in `O(n)` memory), or the `HubCachedGraph`
+//!   layer over it (exact cached rows for the highest-degree vertices).
+//!   [`simulate_on`] monomorphizes per backend, [`simulate_topology`]
+//!   dispatches a runtime choice once, and `tests/implicit_topology.rs` +
 //!   `tests/generated_topology.rs` pin the backends bit-identical across
 //!   protocols, engines, and thread counts.
 //! * **Pooled trial workspaces:** [`simulate_in`] sources all per-trial

@@ -82,6 +82,17 @@ impl AgentConfig {
         self.placement = placement;
         self
     }
+
+    /// How many agents this configuration creates on an `n`-vertex graph:
+    /// the resolved count, unless the placement fixes it (see
+    /// [`Placement::sample`]).
+    pub(crate) fn agents_on(&self, n: usize) -> usize {
+        match &self.placement {
+            Placement::OneUniquePerVertex => n,
+            Placement::Explicit(starts) => starts.len(),
+            _ => self.count.resolve(n),
+        }
+    }
 }
 
 impl Default for AgentConfig {

@@ -42,11 +42,11 @@ use rand::SeedableRng;
 use rumor_graphs::{Topology, VertexId};
 use rumor_walks::{AgentId, MultiWalk, UninformedFrontier};
 
-use crate::engine::SimulationSpec;
-use crate::metrics::{BroadcastOutcome, RoundRecord};
+use crate::engine::{drive, Progress, Rounds, SimulationSpec};
+use crate::metrics::RoundRecord;
 use crate::protocol::ProtocolKind;
 use crate::protocols::common::{InformedSet, PullFrontier, PushFrontier, PushPullFrontier};
-use crate::snapshot::{CheckpointCadence, ResumableRun, SimSnapshot};
+use crate::snapshot::{Checkpoints, ResumableRun, SimSnapshot};
 
 /// Minimum number of realized draws per shard before a vertex round spawns
 /// workers (a draw is tens of nanoseconds; a scoped spawn is microseconds).
@@ -92,32 +92,10 @@ pub(crate) fn supports(spec: &SimulationSpec) -> bool {
         )
 }
 
-/// Runs `spec` on the sharded engine with `threads` workers. Callers must
-/// have checked [`supports`]; `threads` must already be resolved (> 0).
-pub(crate) fn simulate_sharded<G: Topology>(
-    graph: &G,
-    source: VertexId,
-    spec: &SimulationSpec,
-    threads: usize,
-) -> BroadcastOutcome {
-    debug_assert!(threads > 0);
-    debug_assert!(supports(spec));
-    match spec.kind {
-        ProtocolKind::Push | ProtocolKind::Pull | ProtocolKind::PushPull => {
-            VertexEngine::new(graph, source, spec.kind, threads, spec.seed).run(spec)
-        }
-        ProtocolKind::VisitExchange | ProtocolKind::MeetExchange => {
-            AgentEngine::new(graph, source, spec, threads).run(spec)
-        }
-        _ => unreachable!("unsupported kind routed to the sharded engine"),
-    }
-}
-
-/// Runs `spec` on the sharded engine with checkpointing: every time
-/// `cadence` fires, the engine's cross-round state is captured into a
-/// [`SimSnapshot`] and offered to `sink` (a `false` suspends the run at that
-/// snapshot). With `resume = Some(snapshot)` the engine starts from the
-/// snapshot's round instead of round zero.
+/// Runs `spec` on the sharded engine with `threads` workers, from round
+/// zero or from `resume`, recording `history` if given and offering every
+/// round boundary to `checkpoints` (a `false` from the sink suspends the
+/// run at that snapshot).
 ///
 /// Sharded snapshots carry no generator state (`rng: None`): the
 /// counter-based streams are re-derived from the round counter, which is why
@@ -125,27 +103,40 @@ pub(crate) fn simulate_sharded<G: Topology>(
 /// different from the thread count that wrote the checkpoint.
 ///
 /// Callers must have checked [`supports`] and, when resuming, the snapshot's
-/// spec digest; `threads` must already be resolved (> 0).
-pub(crate) fn simulate_sharded_resumable<G: Topology>(
+/// digest and fit; `threads` must already be resolved (> 0).
+pub(crate) fn run_sharded<G: Topology>(
     graph: &G,
     source: VertexId,
     spec: &SimulationSpec,
     threads: usize,
     resume: Option<&SimSnapshot>,
-    cadence: CheckpointCadence,
-    sink: &mut dyn FnMut(&SimSnapshot) -> bool,
+    history: Option<Vec<RoundRecord>>,
+    mut checkpoints: Option<Checkpoints<'_>>,
 ) -> ResumableRun {
     debug_assert!(threads > 0);
     debug_assert!(supports(spec));
-    let digest = spec.digest();
     match spec.kind {
         ProtocolKind::Push | ProtocolKind::Pull | ProtocolKind::PushPull => {
-            VertexEngine::new(graph, source, spec.kind, threads, spec.seed)
-                .run_resumable(spec, digest, resume, cadence, sink)
+            let mut engine = VertexEngine::new(graph, source, spec.kind, threads, spec.seed);
+            if let Some(snapshot) = resume {
+                engine.restore(snapshot);
+            }
+            drive(&mut engine, spec.max_rounds, history, |engine, history| {
+                checkpoints
+                    .as_mut()?
+                    .offer(engine.round, |digest| engine.capture(digest, history))
+            })
         }
         ProtocolKind::VisitExchange | ProtocolKind::MeetExchange => {
-            AgentEngine::new(graph, source, spec, threads)
-                .run_resumable(spec, digest, resume, cadence, sink)
+            let mut engine = AgentEngine::new(graph, source, spec, threads);
+            if let Some(snapshot) = resume {
+                engine.restore(snapshot);
+            }
+            drive(&mut engine, spec.max_rounds, history, |engine, history| {
+                checkpoints
+                    .as_mut()?
+                    .offer(engine.round, |digest| engine.capture(digest, history))
+            })
         }
         _ => unreachable!("unsupported kind routed to the sharded engine"),
     }
@@ -448,7 +439,9 @@ impl<'g, G: Topology> VertexEngine<'g, G> {
             Self::apply_draw(kind, informed, u, v, out);
         }
     }
+}
 
+impl<G: Topology> Rounds for VertexEngine<'_, G> {
     /// One synchronous round: sharded draws, then the sequential merge that
     /// the sequential engine also runs (insert + boundary update).
     fn step(&mut self) {
@@ -533,85 +526,27 @@ impl<'g, G: Topology> VertexEngine<'g, G> {
         }
     }
 
-    /// The sharded twin of [`crate::protocol::FastStep::is_stalled`]: on a
-    /// disconnected graph the reachable component saturates with the
-    /// frontier quiescent, and every further round would realize zero draws.
-    fn is_stalled(&self) -> bool {
-        !self.informed.is_full() && self.frontier.is_quiescent()
-    }
-
-    fn run(mut self, spec: &SimulationSpec) -> BroadcastOutcome {
-        let mut history = Vec::new();
-        while !self.informed.is_full() && self.round < spec.max_rounds {
-            self.step();
-            if spec.options.record_history {
-                history.push(RoundRecord {
-                    round: self.round,
-                    informed_vertices: self.informed.count(),
-                    informed_agents: 0,
-                    messages: self.messages_last,
-                });
-            }
-            if self.is_stalled() {
-                break;
-            }
-        }
-        self.into_outcome(spec, history)
-    }
-
-    /// [`VertexEngine::run`] with the checkpoint contract of
-    /// [`simulate_sharded_resumable`] (same loop; a capture is offered to
-    /// `sink` whenever `cadence` fires between rounds).
-    fn run_resumable(
-        mut self,
-        spec: &SimulationSpec,
-        digest: u64,
-        resume: Option<&SimSnapshot>,
-        cadence: CheckpointCadence,
-        sink: &mut dyn FnMut(&SimSnapshot) -> bool,
-    ) -> ResumableRun {
-        let mut history = Vec::new();
-        if let Some(snapshot) = resume {
-            self.restore(snapshot);
-            history = snapshot.history.clone();
-        }
-        let mut last_checkpoint = std::time::Instant::now();
-        while !self.informed.is_full() && self.round < spec.max_rounds {
-            self.step();
-            if spec.options.record_history {
-                history.push(RoundRecord {
-                    round: self.round,
-                    informed_vertices: self.informed.count(),
-                    informed_agents: 0,
-                    messages: self.messages_last,
-                });
-            }
-            if self.informed.is_full() || self.is_stalled() {
-                break;
-            }
-            if cadence.due(self.round, &mut last_checkpoint) {
-                let snapshot = self.capture(digest, &history);
-                if !sink(&snapshot) {
-                    return ResumableRun::Suspended(snapshot);
-                }
-            }
-        }
-        ResumableRun::Finished(self.into_outcome(spec, history))
-    }
-
-    fn into_outcome(self, spec: &SimulationSpec, history: Vec<RoundRecord>) -> BroadcastOutcome {
-        BroadcastOutcome {
-            protocol: spec.kind.name().to_string(),
-            rounds: self.round,
-            completed: self.informed.is_full(),
+    fn progress(&self) -> Progress {
+        Progress {
+            round: self.round,
+            complete: self.informed.is_full(),
+            // On a disconnected graph the reachable component saturates
+            // with the frontier quiescent, and every further round would
+            // realize zero draws.
+            stalled: !self.informed.is_full() && self.frontier.is_quiescent(),
             informed_vertices: self.informed.count(),
             informed_agents: 0,
-            total_messages: self.messages_total,
-            history,
-            edge_traffic: None,
+            messages_last: self.messages_last,
+            messages_total: self.messages_total,
         }
     }
 
+    fn name(&self) -> &'static str {
+        self.kind.name()
+    }
+}
+
+impl<G: Topology> VertexEngine<'_, G> {
     /// Captures the engine's cross-round state. No generator state is
     /// stored: the counter-based streams re-derive every draw from
     /// `(seed, round, vertex)`, so the round counter *is* the RNG position.
@@ -716,7 +651,9 @@ impl<'g, G: Topology> AgentEngine<'g, G> {
             messages_last: 0,
         }
     }
+}
 
+impl<G: Topology> Rounds for AgentEngine<'_, G> {
     fn step(&mut self) {
         self.round += 1;
         // Sharded movement: per-agent streams, per-shard informed-here
@@ -797,6 +734,34 @@ impl<'g, G: Topology> AgentEngine<'g, G> {
         }
     }
 
+    fn progress(&self) -> Progress {
+        let (complete, informed_vertices) = match self.kind {
+            ProtocolKind::VisitExchange => (
+                self.informed_vertices.is_full(),
+                self.informed_vertices.count(),
+            ),
+            _ => (self.agents.is_complete(), usize::from(self.source_active)),
+        };
+        Progress {
+            round: self.round,
+            complete,
+            // Agent-protocol quiescence is a reachability property of the
+            // walk state, too expensive to test per round: the round cap
+            // terminates pathological instances, as in the sequential engine.
+            stalled: false,
+            informed_vertices,
+            informed_agents: self.agents.informed_count(),
+            messages_last: self.messages_last,
+            messages_total: self.messages_total,
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        self.kind.name()
+    }
+}
+
+impl<G: Topology> AgentEngine<'_, G> {
     /// The round-barrier compaction: applies the sharded scans' uninformed-
     /// frontier removals (shard order; the outcome is a set union, so the
     /// partition cannot influence it).
@@ -807,84 +772,6 @@ impl<'g, G: Topology> AgentEngine<'g, G> {
                 self.agents.mark_informed(a as usize);
             }
             self.shard_newly[i] = buf;
-        }
-    }
-
-    fn is_complete(&self) -> bool {
-        match self.kind {
-            ProtocolKind::VisitExchange => self.informed_vertices.is_full(),
-            _ => self.agents.is_complete(),
-        }
-    }
-
-    fn run(mut self, spec: &SimulationSpec) -> BroadcastOutcome {
-        let mut history = Vec::new();
-        while !self.is_complete() && self.round < spec.max_rounds {
-            self.step();
-            if spec.options.record_history {
-                history.push(RoundRecord {
-                    round: self.round,
-                    informed_vertices: self.informed_vertex_count(),
-                    informed_agents: self.agents.informed_count(),
-                    messages: self.messages_last,
-                });
-            }
-        }
-        self.into_outcome(spec, history)
-    }
-
-    /// [`AgentEngine::run`] with the checkpoint contract of
-    /// [`simulate_sharded_resumable`]. No stall break here: agent-protocol
-    /// quiescence is a reachability property of the walk state, which is too
-    /// expensive to test per round — the round cap remains the terminator on
-    /// pathological instances (as in the sequential engine).
-    fn run_resumable(
-        mut self,
-        spec: &SimulationSpec,
-        digest: u64,
-        resume: Option<&SimSnapshot>,
-        cadence: CheckpointCadence,
-        sink: &mut dyn FnMut(&SimSnapshot) -> bool,
-    ) -> ResumableRun {
-        let mut history = Vec::new();
-        if let Some(snapshot) = resume {
-            self.restore(snapshot);
-            history = snapshot.history.clone();
-        }
-        let mut last_checkpoint = std::time::Instant::now();
-        while !self.is_complete() && self.round < spec.max_rounds {
-            self.step();
-            if spec.options.record_history {
-                history.push(RoundRecord {
-                    round: self.round,
-                    informed_vertices: self.informed_vertex_count(),
-                    informed_agents: self.agents.informed_count(),
-                    messages: self.messages_last,
-                });
-            }
-            if self.is_complete() {
-                break;
-            }
-            if cadence.due(self.round, &mut last_checkpoint) {
-                let snapshot = self.capture(digest, &history);
-                if !sink(&snapshot) {
-                    return ResumableRun::Suspended(snapshot);
-                }
-            }
-        }
-        ResumableRun::Finished(self.into_outcome(spec, history))
-    }
-
-    fn into_outcome(self, spec: &SimulationSpec, history: Vec<RoundRecord>) -> BroadcastOutcome {
-        BroadcastOutcome {
-            protocol: spec.kind.name().to_string(),
-            rounds: self.round,
-            completed: self.is_complete(),
-            informed_vertices: self.informed_vertex_count(),
-            informed_agents: self.agents.informed_count(),
-            total_messages: self.messages_total,
-            history,
-            edge_traffic: None,
         }
     }
 
@@ -942,13 +829,6 @@ impl<'g, G: Topology> AgentEngine<'g, G> {
         self.round = snapshot.round;
         self.messages_total = snapshot.messages_total;
         self.messages_last = snapshot.messages_last;
-    }
-
-    fn informed_vertex_count(&self) -> usize {
-        match self.kind {
-            ProtocolKind::VisitExchange => self.informed_vertices.count(),
-            _ => usize::from(self.source_active),
-        }
     }
 }
 

@@ -33,6 +33,7 @@ use std::time::{Duration, Instant};
 
 use crate::engine::{Engine, SimulationSpec};
 use crate::metrics::{BroadcastOutcome, RoundRecord};
+use rumor_graphs::Topology;
 use rumor_walks::{AgentCount, Placement};
 
 /// File magic prefixing every serialized snapshot.
@@ -123,6 +124,15 @@ pub enum SnapshotError {
     /// (e.g. a sharded snapshot, which stores no generator state, offered to
     /// the sequential engine).
     EngineMismatch,
+    /// The snapshot does not fit the graph it is resumed on: it names a
+    /// vertex or an agent the resumed run does not have, as a snapshot
+    /// captured on a different topology would.
+    TopologyMismatch {
+        /// Vertex count of the graph the resume was attempted on.
+        vertices: usize,
+        /// Agent count the spec resolves to on that graph.
+        agents: usize,
+    },
     /// An I/O error while reading or writing a snapshot file.
     Io(std::io::Error),
 }
@@ -143,6 +153,10 @@ impl fmt::Display for SnapshotError {
             SnapshotError::EngineMismatch => {
                 write!(f, "snapshot does not carry the state the engine needs")
             }
+            SnapshotError::TopologyMismatch { vertices, agents } => write!(
+                f,
+                "snapshot does not fit a graph of {vertices} vertices with {agents} agents"
+            ),
             SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
         }
     }
@@ -221,6 +235,49 @@ impl CheckpointCadence {
             true
         } else {
             false
+        }
+    }
+}
+
+/// The checkpoint side of a resumable run: when to capture a snapshot, and
+/// the sink that persists it and decides whether the run goes on.
+pub(crate) struct Checkpoints<'s> {
+    spec_digest: u64,
+    cadence: CheckpointCadence,
+    last: Instant,
+    sink: &'s mut dyn FnMut(&SimSnapshot) -> bool,
+}
+
+impl<'s> Checkpoints<'s> {
+    pub(crate) fn new(
+        spec_digest: u64,
+        cadence: CheckpointCadence,
+        sink: &'s mut dyn FnMut(&SimSnapshot) -> bool,
+    ) -> Self {
+        Checkpoints {
+            spec_digest,
+            cadence,
+            last: Instant::now(),
+            sink,
+        }
+    }
+
+    /// Called at the boundary after `round`: if the cadence is due, captures
+    /// a snapshot (`capture` receives the spec digest) and offers it to the
+    /// sink. Returns the snapshot when the sink asks to suspend there.
+    pub(crate) fn offer(
+        &mut self,
+        round: u64,
+        capture: impl FnOnce(u64) -> SimSnapshot,
+    ) -> Option<SimSnapshot> {
+        if !self.cadence.due(round, &mut self.last) {
+            return None;
+        }
+        let snapshot = capture(self.spec_digest);
+        if (self.sink)(&snapshot) {
+            None
+        } else {
+            Some(snapshot)
         }
     }
 }
@@ -316,6 +373,44 @@ impl SimSnapshot {
     /// Total messages accumulated at the snapshot point.
     pub fn messages_total(&self) -> u64 {
         self.messages_total
+    }
+
+    /// The checks every resume makes once, before any state is restored:
+    /// the snapshot was captured under `spec`, and it fits `graph`. The spec
+    /// digest does not cover the topology, so without the second check a
+    /// snapshot captured on a larger graph would index past this one's
+    /// arrays: every vertex it names (informed vertices, agent positions)
+    /// must exist, every informed agent must be below the agent count `spec`
+    /// resolves to here, and there must be one position per agent.
+    pub(crate) fn check<G: Topology>(
+        &self,
+        graph: &G,
+        spec: &SimulationSpec,
+    ) -> Result<(), SnapshotError> {
+        let expected = spec.digest();
+        if self.spec_digest != expected {
+            return Err(SnapshotError::SpecMismatch {
+                expected,
+                found: self.spec_digest,
+            });
+        }
+        let vertices = graph.num_vertices();
+        let agents = if spec.kind.uses_agents() {
+            spec.agents.agents_on(vertices)
+        } else {
+            0
+        };
+        let below = |ids: &[u32], bound: usize| ids.iter().all(|&id| (id as usize) < bound);
+        let positions = self.positions.as_deref().unwrap_or_default();
+        if positions.len() == agents
+            && below(positions, vertices)
+            && below(&self.informed_vertices, vertices)
+            && below(&self.informed_agents, agents)
+        {
+            Ok(())
+        } else {
+            Err(SnapshotError::TopologyMismatch { vertices, agents })
+        }
     }
 
     /// Serializes to the versioned, checksummed on-disk format.

@@ -16,8 +16,8 @@
 //!   land on the reference outcome),
 //! * history-recording runs (the resumed outcome must carry the full
 //!   per-round curve, splicing the pre-suspend prefix),
-//! * rejection paths: cross-engine resumes, wrong-spec resumes, corrupted
-//!   and truncated snapshot files,
+//! * rejection paths: cross-engine resumes, wrong-spec resumes, snapshots
+//!   captured on a larger graph, corrupted and truncated snapshot files,
 //! * encode/decode round-trips for live mid-run snapshots (proptest).
 
 use rumor_core::{
@@ -308,6 +308,41 @@ fn cross_engine_and_wrong_spec_resumes_are_rejected() {
         &mut |_: &SimSnapshot| true,
     )
     .is_ok());
+
+    // The digest does not cover the topology: a snapshot captured on a
+    // larger graph names vertices (and holds agent positions) the smaller
+    // one lacks, and must be rejected with a typed error, never a panic.
+    let big = ImplicitGraph::cycle(256).unwrap();
+    let small = ImplicitGraph::cycle(16).unwrap();
+    for kind in ALL_PROTOCOLS {
+        let seq_spec = spec_for(kind, 5, &big);
+        for spec in [seq_spec.clone(), seq_spec.with_sharded(2)] {
+            // Suspend at the first checkpoint that cannot fit 16 vertices.
+            let snapshot = simulate_resumable(
+                &big,
+                0,
+                &spec,
+                CheckpointCadence::every_rounds(4),
+                &mut |snap: &SimSnapshot| !kind.uses_agents() && snap.informed_vertex_count() <= 16,
+            )
+            .suspended()
+            .expect("the run outlasts its first oversized checkpoint");
+            let err = resume_on(
+                &small,
+                0,
+                &spec,
+                &snapshot,
+                CheckpointCadence::every_rounds(u64::MAX),
+                &mut |_: &SimSnapshot| true,
+            )
+            .expect_err("a snapshot from a larger graph must be rejected");
+            assert!(
+                matches!(err, SnapshotError::TopologyMismatch { vertices: 16, .. }),
+                "{kind} ({:?}): unexpected rejection: {err}",
+                spec.engine
+            );
+        }
+    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! The `Topology` abstraction: one sampling contract, three storage
+//! The `Topology` abstraction: one sampling contract, four storage
 //! backends.
 //!
 //! Every protocol in the workspace consumes a graph through a handful of
@@ -60,10 +60,11 @@ mod sealed {
     impl Sealed for super::HubCachedGraph {}
 }
 
-/// The operations a simulation needs from a graph, implemented by the CSR
-/// backend ([`Graph`]), the implicit backend
-/// ([`ImplicitGraph`](crate::ImplicitGraph)), and the generated backend
-/// ([`GeneratedGraph`](crate::GeneratedGraph)). See the module-level
+/// The operations a simulation needs from a graph, implemented by the four
+/// backends: CSR ([`Graph`]), implicit
+/// ([`ImplicitGraph`](crate::ImplicitGraph)), generated
+/// ([`GeneratedGraph`](crate::GeneratedGraph)) and hub-cached
+/// ([`HubCachedGraph`](crate::HubCachedGraph)). See the module-level
 /// documentation above for the cross-backend determinism contract.
 ///
 /// Sealed: downstream crates consume, and cannot implement, this trait.
