@@ -21,8 +21,9 @@
 //! * **Chung–Lu construction** — a 10⁶-vertex power-law instance:
 //!   construction wall-clock, realized edge count, and hub degree.
 //! * **Hub-cached agent workloads** — meet-exchange on Chung–Lu through
-//!   the [`rumor_graphs::HubCachedGraph`] hybrid: bit-identity vs the
-//!   uncached backend at 10⁵, the ≥ 5× speedup within a declared cache
+//!   a `GeneratedGraph` with its hub cache built
+//!   ([`rumor_graphs::HubCacheBuilder`]): bit-identity vs the
+//!   uncached graph at 10⁵, the ≥ 5× speedup within a declared cache
 //!   byte budget at 10⁶ (CI-enforced; `hub_cache_bytes` and
 //!   `hub_hit_fraction` land in the summary schema), and the 10⁷
 //!   meet-exchange broadcast headline in the non-FAST section.
@@ -213,7 +214,7 @@ fn random_topologies(_c: &mut Criterion) {
         }
     }
 
-    // ---- Hub-cached hybrid: agent-workload speedup. ----
+    // ---- Hub cache: agent-workload speedup. ----
     // Every uncached draw at a vertex re-enumerates, sorts, and dedups its
     // whole neighbor list from Philox (O(deg log deg)); an agent workload
     // concentrates draws on hubs in proportion to stationary mass, so

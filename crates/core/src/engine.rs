@@ -34,7 +34,7 @@
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
-use rumor_graphs::{AnyTopology, Graph, Topology, VertexId};
+use rumor_graphs::{with_topology, AnyTopology, Graph, Topology, VertexId};
 
 use std::fmt;
 
@@ -308,8 +308,8 @@ pub fn simulate_on<G: Topology>(
     run_fresh(graph, source, spec, &mut SimWorkspace::new())
 }
 
-/// [`simulate`] over a runtime-selected [`AnyTopology`]: matches the backend
-/// **once** and hands off to the corresponding monomorphized
+/// [`simulate`] over a runtime-selected [`AnyTopology`]: dispatches on the
+/// backend **once** and hands off to the corresponding monomorphized
 /// [`simulate_on`] instantiation — the enum never sits on a sampling hot
 /// path.
 pub fn simulate_topology(
@@ -317,12 +317,7 @@ pub fn simulate_topology(
     source: VertexId,
     spec: &SimulationSpec,
 ) -> BroadcastOutcome {
-    match topology {
-        AnyTopology::Csr(graph) => simulate_on(graph, source, spec),
-        AnyTopology::Implicit(graph) => simulate_on(graph, source, spec),
-        AnyTopology::Generated(graph) => simulate_on(graph, source, spec),
-        AnyTopology::HubCached(graph) => simulate_on(graph, source, spec),
-    }
+    with_topology!(topology, graph => simulate_on(graph, source, spec))
 }
 
 /// A pooled simulation state for repeated trials on one graph: the protocol

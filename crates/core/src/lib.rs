@@ -86,13 +86,13 @@
 //!   history. History is recorded only when
 //!   [`ProtocolOptions::record_history`] is set; large sweeps allocate no
 //!   [`RoundRecord`]s at all.
-//! * **Four topology backends, one bit-identical contract:** every
+//! * **Three topology backends, one bit-identical contract:** every
 //!   protocol and both engines are generic over `rumor_graphs::Topology` —
 //!   the CSR `Graph`, the closed-form `ImplicitGraph` (structured families
-//!   as `O(1)` parameters, enabling 10⁸-vertex instances), the seed-keyed
+//!   as `O(1)` parameters, enabling 10⁸-vertex instances), or the seed-keyed
 //!   `GeneratedGraph` (G(n, p) / Chung–Lu random families derived on demand
-//!   from a counter-based hash in `O(n)` memory), or the `HubCachedGraph`
-//!   layer over it (exact cached rows for the highest-degree vertices).
+//!   from a counter-based hash in `O(n)` memory, with an optional hub cache
+//!   of exact rows for the highest-degree vertices as a build option).
 //!   [`simulate_on`] monomorphizes per backend, [`simulate_topology`]
 //!   dispatches a runtime choice once, and `tests/implicit_topology.rs` +
 //!   `tests/generated_topology.rs` pin the backends bit-identical across

@@ -26,7 +26,7 @@
 use rumor_core::{
     simulate_in, simulate_on, simulate_topology, ProtocolKind, SimWorkspace, SimulationSpec,
 };
-use rumor_graphs::{algorithms, AnyTopology, GeneratedGraph, HubCachedGraph, Topology};
+use rumor_graphs::{algorithms, AnyTopology, GeneratedGraph, Topology};
 
 /// The differential grid: both random families, several seeds. Densities
 /// are chosen comfortably above the connectivity threshold so most
@@ -213,10 +213,10 @@ fn simulate_topology_dispatches_to_the_generated_backend() {
 
 #[test]
 fn hub_cached_sequential_runs_are_bit_identical_across_all_backends() {
-    // Whole-simulation equivalence for the hybrid backend: every protocol
-    // outcome on a HubCachedGraph — at the default policy, an empty cache,
-    // and a full cache — must equal the uncached generated run and the
-    // materialized CSR run bit for bit.
+    // Whole-simulation equivalence for the hub cache: every protocol
+    // outcome on a GeneratedGraph with a cache — at the default policy, an
+    // empty cache, and a full cache — must equal the uncached generated run
+    // and the materialized CSR run bit for bit.
     for generated in instances() {
         let csr = generated.materialize().unwrap();
         let n = generated.num_vertices();
@@ -232,7 +232,7 @@ fn hub_cached_sequential_runs_are_bit_identical_across_all_backends() {
                     generated.family_name()
                 );
                 for k in [0usize, n.div_ceil(64), n] {
-                    let hub = HubCachedGraph::with_hub_count(generated.clone(), k);
+                    let hub = generated.clone().with_hub_count(k);
                     assert_eq!(
                         simulate_on(&hub, source, &spec),
                         reference,
@@ -248,7 +248,7 @@ fn hub_cached_sequential_runs_are_bit_identical_across_all_backends() {
 #[test]
 fn hub_cached_sharded_runs_are_bit_identical_at_every_thread_count() {
     for generated in instances() {
-        let hub = HubCachedGraph::over(generated.clone());
+        let hub = generated.clone().over();
         for kind in SHARDED_PROTOCOLS {
             for seed in [0u64, 5] {
                 let base = spec_for(kind, seed, &generated);
@@ -270,7 +270,7 @@ fn hub_cached_sharded_runs_are_bit_identical_at_every_thread_count() {
 #[test]
 fn hub_cached_pooled_workspace_is_invisible() {
     let generated = GeneratedGraph::chung_lu(140, 2.5, 6.0, 4).unwrap();
-    let hub = HubCachedGraph::over(generated.clone());
+    let hub = generated.clone().over();
     let mut workspace = SimWorkspace::new();
     for kind in SHARDED_PROTOCOLS {
         for seed in 0..2u64 {
@@ -278,7 +278,7 @@ fn hub_cached_pooled_workspace_is_invisible() {
             assert_eq!(
                 simulate_in(&hub, 0, &spec, &mut workspace),
                 simulate_on(&generated, 0, &spec),
-                "{kind} seed {seed} diverged under pooling on the hub-cached backend"
+                "{kind} seed {seed} diverged under pooling with the hub cache built"
             );
         }
     }
@@ -287,13 +287,13 @@ fn hub_cached_pooled_workspace_is_invisible() {
 #[test]
 fn simulate_topology_dispatches_to_the_hub_cached_backend() {
     let generated = GeneratedGraph::chung_lu(130, 2.5, 6.0, 8).unwrap();
-    let hub = HubCachedGraph::over(generated.clone());
+    let hub = generated.clone().over();
     assert!(hub.hub_count() > 0, "default policy should cache something");
     let spec = spec_for(ProtocolKind::MeetExchange, 11, &generated);
     assert_eq!(
         simulate_topology(&AnyTopology::from(hub), 0, &spec),
         simulate_topology(&AnyTopology::from(generated), 0, &spec),
-        "enum dispatch diverged between hub-cached and generated"
+        "enum dispatch diverged between cached and uncached generated graphs"
     );
 }
 

@@ -188,6 +188,35 @@ impl TrialOutcome {
             _ => None,
         }
     }
+
+    /// Classifies a run that ended on its own: completed or round-capped.
+    pub(crate) fn finished(outcome: BroadcastOutcome) -> Self {
+        if outcome.completed {
+            TrialOutcome::Completed(outcome)
+        } else {
+            TrialOutcome::RoundCapped(outcome)
+        }
+    }
+
+    /// A trial whose budget expired, reported at its suspension snapshot.
+    pub(crate) fn timed_out(snapshot: &SimSnapshot) -> Self {
+        TrialOutcome::TimedOut {
+            round: snapshot.round(),
+            informed_vertices: snapshot.informed_vertex_count(),
+            informed_agents: snapshot.informed_agent_count(),
+            messages: snapshot.messages_total(),
+        }
+    }
+}
+
+/// Renders a caught panic payload as text (`&str` and `String` payloads
+/// verbatim).
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// Per-trial budgets, retry policy, and fault injection for
@@ -672,11 +701,7 @@ pub fn run_trials_guarded<G: Topology>(
                                 break;
                             }
                             Err(payload) => {
-                                last_panic = payload
-                                    .downcast_ref::<&str>()
-                                    .map(|s| s.to_string())
-                                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                                last_panic = panic_message(&*payload);
                                 // The panic may have left mid-round protocol
                                 // state behind; a fresh workspace restores
                                 // the clean-slate invariant for the replay.
@@ -734,17 +759,12 @@ fn run_guarded_trial<'g, G: Topology>(
     stop: &AtomicBool,
     stop_cause: &Mutex<Option<StopCause>>,
 ) -> Option<TrialOutcome> {
-    let classify = |outcome: BroadcastOutcome| {
-        if outcome.completed {
-            TrialOutcome::Completed(outcome)
-        } else {
-            TrialOutcome::RoundCapped(outcome)
-        }
-    };
     if !policy.needs_resumable_path() || trial_spec.options.record_edge_traffic {
         // No mid-run hooks armed (or the spec cannot checkpoint): plain
         // fast path, still panic-isolated by the caller.
-        return Some(classify(simulate_in(graph, source, trial_spec, workspace)));
+        return Some(TrialOutcome::finished(simulate_in(
+            graph, source, trial_spec, workspace,
+        )));
     }
     let deadline = policy.wall_clock.map(|budget| Instant::now() + budget);
     let mut memory_tripped = false;
@@ -781,14 +801,9 @@ fn run_guarded_trial<'g, G: Topology>(
         },
     );
     Some(match run {
-        ResumableRun::Finished(outcome) => classify(outcome),
+        ResumableRun::Finished(outcome) => TrialOutcome::finished(outcome),
         ResumableRun::Suspended(_) if memory_tripped => return None,
-        ResumableRun::Suspended(snapshot) => TrialOutcome::TimedOut {
-            round: snapshot.round(),
-            informed_vertices: snapshot.informed_vertex_count(),
-            informed_agents: snapshot.informed_agent_count(),
-            messages: snapshot.messages_total(),
-        },
+        ResumableRun::Suspended(snapshot) => TrialOutcome::timed_out(&snapshot),
     })
 }
 

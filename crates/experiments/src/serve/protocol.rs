@@ -50,7 +50,7 @@
 use std::collections::BTreeMap;
 
 use rumor_core::{ProtocolKind, SimulationSpec};
-use rumor_graphs::{AnyTopology, GeneratedGraph, HubCachedGraph, ImplicitGraph};
+use rumor_graphs::{AnyTopology, GeneratedGraph, ImplicitGraph};
 
 use crate::runner::TrialOutcome;
 
@@ -460,14 +460,13 @@ impl TopologySpec {
             "chung-lu" => GeneratedGraph::chung_lu(n, exponent, degree, seed)
                 .map(AnyTopology::from)
                 .map_err(fail),
-            // The same Chung–Lu instance behind the hub-cached hybrid:
-            // exact adjacency for the default top n/64 vertices by degree,
-            // which absorbs most agent-walk draws. Bit-identical results to
-            // "chung-lu" at the same parameters (distinct job digests — the
-            // family name is part of the canonical string — but identical
-            // trial lines).
+            // The same Chung–Lu instance with the default hub cache: exact
+            // adjacency for the top n/64 vertices by degree, which absorbs
+            // most agent-walk draws. Bit-identical results to "chung-lu" at
+            // the same parameters (distinct job digests — the family name
+            // is part of the canonical string — but identical trial lines).
             "chung_lu_hub_cached" => GeneratedGraph::chung_lu(n, exponent, degree, seed)
-                .map(|inner| AnyTopology::from(HubCachedGraph::over(inner)))
+                .map(|graph| AnyTopology::from(graph.over()))
                 .map_err(fail),
             other => Err(format!("unknown topology family {other:?}")),
         }
@@ -1329,14 +1328,14 @@ mod tests {
     }
 
     #[test]
-    fn hub_cached_family_builds_the_hybrid_backend() {
+    fn hub_cached_family_builds_a_cached_generated_graph() {
         use rumor_graphs::Topology;
         let spec = TopologySpec::new("chung_lu_hub_cached", 512)
             .with_degree(6.0)
             .with_exponent(2.5)
             .with_topology_seed(9);
         let topology = spec.build().unwrap();
-        let cached = topology.as_hub_cached().expect("hub-cached backend");
+        let cached = topology.as_generated().expect("generated backend");
         assert_eq!(cached.num_vertices(), 512);
         assert_eq!(cached.hub_count(), 8, "default policy is n/64 hubs");
         // Same instance as the uncached family: identical edge set...

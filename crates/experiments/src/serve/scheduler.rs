@@ -38,9 +38,9 @@ use rumor_core::{
     resume_in, simulate_resumable_in, CheckpointCadence, ResumableRun, SimSnapshot, SimWorkspace,
     SimulationSpec,
 };
-use rumor_graphs::{AnyTopology, Topology, VertexId};
+use rumor_graphs::{with_topology, AnyTopology, Topology, VertexId};
 
-use crate::runner::{Manifest, TrialOutcome, TrialTaxonomy};
+use crate::runner::{panic_message, Manifest, TrialOutcome, TrialTaxonomy};
 use crate::serve::protocol::{trial_line, SubmitRequest, MAX_LINE_BYTES};
 use crate::serve::shed::{admit, AdmissionLimits, Verdict};
 use crate::serve::store::{ContentStore, UploadError};
@@ -233,7 +233,8 @@ struct JobState {
 
 impl Job {
     /// Records one trial outcome: manifest write, in-order line emission,
-    /// subscriber wakeup. Returns `true` when this record finished the job.
+    /// subscriber wakeup. Returns `true` when this was the job's last trial;
+    /// the caller then [`retire`]s the job, which is what marks it finished.
     fn record(&self, trial: usize, outcome: TrialOutcome) -> bool {
         // Poison-tolerant throughout `Job` and `Scheduler`: a worker or
         // session thread that panics while holding a lock must cost only
@@ -249,12 +250,8 @@ impl Job {
         state.outcomes[trial] = Some(outcome);
         state.recorded += 1;
         advance_emit(&mut state);
-        let finished = state.recorded == self.trials;
-        if finished {
-            state.finished = true;
-        }
         self.progress.notify_all();
-        finished
+        state.recorded == self.trials
     }
 
     /// Bounded wait for session forwarder threads: blocks until the feed
@@ -477,27 +474,19 @@ impl Scheduler {
             }
         };
         let source: VertexId = 0;
-        // One match at admission: adapt (the paper's bipartite remedy) and
-        // validate against the actual graph, so workers only ever see
+        // One dispatch at admission: adapt (the paper's bipartite remedy)
+        // and validate against the actual graph, so workers only ever see
         // well-formed jobs.
-        let spec = {
-            let adapted = match &topology {
-                AnyTopology::Csr(g) => base.adapted_to(g),
-                AnyTopology::Implicit(g) => base.adapted_to(g),
-                AnyTopology::Generated(g) => base.adapted_to(g),
-                AnyTopology::HubCached(g) => base.adapted_to(g),
-            };
-            let check = match &topology {
-                AnyTopology::Csr(g) => adapted.validate(g, source),
-                AnyTopology::Implicit(g) => adapted.validate(g, source),
-                AnyTopology::Generated(g) => adapted.validate(g, source),
-                AnyTopology::HubCached(g) => adapted.validate(g, source),
-            };
-            if let Err(e) = check {
+        let checked = with_topology!(&topology, g => {
+            let adapted = base.adapted_to(g);
+            adapted.validate(g, source).map(|()| adapted)
+        });
+        let spec = match checked {
+            Ok(spec) => spec,
+            Err(e) => {
                 unpin_on_exit(upload_pin);
                 return Submission::Rejected(e.to_string());
             }
-            adapted
         };
 
         let mut state = lock_recover(&self.shared.state);
@@ -576,10 +565,6 @@ impl Scheduler {
             manifest,
         };
         advance_emit(&mut job_state);
-        let finished_at_admission = reused == trials;
-        if finished_at_admission {
-            job_state.finished = true;
-        }
         let job = Arc::new(Job {
             digest,
             trials,
@@ -596,12 +581,11 @@ impl Scheduler {
             state: Mutex::new(job_state),
             progress: Condvar::new(),
         });
-        if finished_at_admission {
+        if reused == trials {
             // Everything came back from the manifest: publish to the cache
             // and answer without touching the queues (no running job, so no
             // pin to carry).
-            cache_if_deterministic(&mut state, &job);
-            unpin_on_exit(upload_pin);
+            retire(&self.shared, &mut state, &job);
             return Submission::Attached {
                 job,
                 duplicate: false,
@@ -690,11 +674,16 @@ impl Drop for Scheduler {
     }
 }
 
-/// Publishes a finished job to the result cache if every trial is
-/// deterministic (completed/round-capped); jobs with timed-out, panicked,
-/// or skipped trials must re-run on resubmission.
-fn cache_if_deterministic(state: &mut SchedState, job: &Job) {
-    let job_state = lock_recover(&job.state);
+/// Retires a job whose every trial is recorded. Runs under the scheduler
+/// lock and takes the job lock inside it (the scheduler → job order). The
+/// job leaves the running set and, if every trial is deterministic
+/// (completed/round-capped), enters the result cache **before** it is
+/// marked finished, so a client that sees the job finish and resubmits
+/// always gets the cache hit. Jobs with timed-out, panicked, or skipped
+/// trials are not cached and re-run on resubmission.
+fn retire(shared: &Shared, state: &mut SchedState, job: &Job) {
+    state.running.remove(&job.digest);
+    let mut job_state = lock_recover(&job.state);
     if Job::cacheable(&job_state) {
         state.cache.insert(
             job.digest,
@@ -711,6 +700,10 @@ fn cache_if_deterministic(state: &mut SchedState, job: &Job) {
             }),
         );
     }
+    job_state.finished = true;
+    job.progress.notify_all();
+    drop(job_state);
+    release_upload_pin(shared, job);
 }
 
 fn worker_loop(shared: &Shared) {
@@ -732,11 +725,7 @@ fn worker_loop(shared: &Shared) {
             Some(outcome) => {
                 shared.executed.fetch_add(1, Ordering::Relaxed);
                 if job.record(trial, outcome) {
-                    let mut state = lock_recover(&shared.state);
-                    state.running.remove(&job.digest);
-                    cache_if_deterministic(&mut state, &job);
-                    drop(state);
-                    release_upload_pin(shared, &job);
+                    retire(shared, &mut lock_recover(&shared.state), &job);
                 }
             }
             None => {
@@ -790,8 +779,7 @@ fn claim_next(shared: &Shared, state: &mut SchedState) -> Option<(Arc<Job>, usiz
         while let Some(trial) = claim_ticket(&job) {
             marked += 1;
             if job.record(trial, TrialOutcome::NotRun) {
-                state.running.remove(&job.digest);
-                release_upload_pin(shared, &job);
+                retire(shared, state, &job);
             }
         }
         state.pending_trials = state.pending_trials.saturating_sub(marked);
@@ -827,12 +815,7 @@ fn execute_trial(shared: &Shared, job: &Job, trial: usize) -> Option<TrialOutcom
         dir.join(format!("ckpt-{:016x}", job.digest))
             .join(format!("t{trial}"))
     });
-    match &job.topology {
-        AnyTopology::Csr(g) => run_one(shared, g, job, &spec, ckpt_dir),
-        AnyTopology::Implicit(g) => run_one(shared, g, job, &spec, ckpt_dir),
-        AnyTopology::Generated(g) => run_one(shared, g, job, &spec, ckpt_dir),
-        AnyTopology::HubCached(g) => run_one(shared, g, job, &spec, ckpt_dir),
-    }
+    with_topology!(&job.topology, g => run_one(shared, g, job, &spec, ckpt_dir))
 }
 
 fn run_one<G: Topology>(
@@ -853,11 +836,7 @@ fn run_one<G: Topology>(
         match result {
             Ok(outcome) => return outcome,
             Err(payload) => {
-                last_panic = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                last_panic = panic_message(&*payload);
                 if attempt == 2 {
                     return Some(TrialOutcome::Panicked {
                         message: last_panic,
@@ -920,19 +899,10 @@ fn run_one_attempt<G: Topology>(
             if let Some(dir) = ckpt_dir {
                 let _ = std::fs::remove_dir_all(dir);
             }
-            Some(if outcome.completed {
-                TrialOutcome::Completed(outcome)
-            } else {
-                TrialOutcome::RoundCapped(outcome)
-            })
+            Some(TrialOutcome::finished(outcome))
         }
         ResumableRun::Suspended(_) if drained => None,
-        ResumableRun::Suspended(snapshot) => Some(TrialOutcome::TimedOut {
-            round: snapshot.round(),
-            informed_vertices: snapshot.informed_vertex_count(),
-            informed_agents: snapshot.informed_agent_count(),
-            messages: snapshot.messages_total(),
-        }),
+        ResumableRun::Suspended(snapshot) => Some(TrialOutcome::timed_out(&snapshot)),
     }
 }
 
@@ -962,25 +932,42 @@ mod tests {
 
     #[test]
     fn executes_a_job_and_caches_the_result() {
+        // Several distinct requests, each resubmitted the moment its feed
+        // reports finished: the cache entry must already be visible then,
+        // so every resubmission is a cache hit, never a duplicate attach.
         let scheduler = Scheduler::start(smoke_config()).expect("scheduler");
-        let request = SubmitRequest::new("t", TopologySpec::new("complete", 32), "push", 4);
-        let Submission::Attached { job, duplicate } = scheduler.submit(request.clone()) else {
-            panic!("expected attachment");
-        };
-        assert!(!duplicate);
-        let (lines, drained) = collect(&job);
-        assert!(!drained);
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("\"index\":0"));
-        assert_eq!(job.taxonomy().completed, 4);
-        assert_eq!(scheduler.stats().trials_executed, 4);
-        // Resubmission is a cache hit with byte-identical lines.
-        let Submission::Cached(cached) = scheduler.submit(request) else {
-            panic!("expected cache hit");
-        };
-        assert_eq!(cached.trial_lines, lines);
-        assert_eq!(scheduler.stats().trials_executed, 4);
-        assert_eq!(scheduler.stats().cache_hits, 1);
+        let requests = [
+            ("complete", 32, "push", 4),
+            ("complete", 24, "pull", 3),
+            ("star", 40, "push-pull", 2),
+            ("cycle", 16, "visit-exchange", 5),
+            ("complete", 20, "meet-exchange", 1),
+            ("path", 12, "push", 6),
+            ("double-star", 10, "pull", 2),
+            ("hypercube", 4, "push-pull", 3),
+        ];
+        let mut executed = 0;
+        for (hits, (family, n, protocol, trials)) in requests.into_iter().enumerate() {
+            let request = SubmitRequest::new("t", TopologySpec::new(family, n), protocol, trials);
+            let Submission::Attached { job, duplicate } = scheduler.submit(request.clone()) else {
+                panic!("expected attachment for {family}/{protocol}");
+            };
+            assert!(!duplicate);
+            let (lines, drained) = collect(&job);
+            assert!(!drained);
+            assert_eq!(lines.len(), trials);
+            assert!(lines[0].contains("\"index\":0"));
+            assert_eq!(job.taxonomy().completed, trials);
+            executed += trials;
+            assert_eq!(scheduler.stats().trials_executed, executed);
+            // Resubmission is a cache hit with byte-identical lines.
+            let Submission::Cached(cached) = scheduler.submit(request) else {
+                panic!("expected cache hit for {family}/{protocol}");
+            };
+            assert_eq!(cached.trial_lines, lines);
+            assert_eq!(scheduler.stats().trials_executed, executed);
+            assert_eq!(scheduler.stats().cache_hits, hits + 1);
+        }
     }
 
     #[test]

@@ -169,11 +169,11 @@ fn killed_sweep_resumes_from_its_manifest() {
 
 #[test]
 fn manifest_written_on_generated_resumes_on_hub_cached() {
-    // The manifest digest covers the spec, not the topology backend, and
-    // the hub-cached hybrid is bit-identical to its inner generated graph —
-    // so a sweep killed while running uncached can resume on the cached
-    // backend (or vice versa) and land on the identical outcomes.
-    use rumor_graphs::{GeneratedGraph, HubCachedGraph};
+    // The manifest digest covers the spec, not the topology, and a hub
+    // cache never changes a generated graph's answers — so a sweep killed
+    // while running uncached can resume with the cache built (or vice
+    // versa) and land on the identical outcomes.
+    use rumor_graphs::GeneratedGraph;
     let generated = GeneratedGraph::chung_lu(120, 2.5, 6.0, 3).unwrap();
     let cfg = ExperimentConfig::smoke().with_threads(1);
     let spec = SimulationSpec::new(ProtocolKind::MeetExchange)
@@ -203,7 +203,7 @@ fn manifest_written_on_generated_resumes_on_hub_cached() {
     assert_eq!(first.stopped, Some(StopCause::InjectedStop));
     assert_eq!(first.taxonomy().completed, 2);
 
-    let hub = HubCachedGraph::over(generated.clone());
+    let hub = generated.clone().over();
     let second = run_trials_guarded(
         &hub,
         0,
@@ -220,7 +220,7 @@ fn manifest_written_on_generated_resumes_on_hub_cached() {
         assert_eq!(
             got.outcome(),
             Some(want),
-            "trial {trial} diverged resuming on the hub-cached backend"
+            "trial {trial} diverged resuming with the hub cache built"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -65,6 +65,12 @@
 //! nanoseconds. Prefer the CSR backend when the graph fits in memory and is
 //! reused across many trials; prefer `GeneratedGraph` for scenario sweeps at
 //! scales where the CSR does not fit.
+//!
+//! The optional hub cache (built by [`HubCacheBuilder`](crate::HubCacheBuilder)
+//! or [`GeneratedGraph::over`]) removes most of that price for agent walks:
+//! it stores the exact sorted lists of the highest-stub-count vertices, and
+//! every neighbor query reads a cached list when it has one. Answers and
+//! draw streams are unchanged at every cache size (see `hub_cached.rs`).
 
 use std::sync::OnceLock;
 
@@ -74,6 +80,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{GraphError, Result};
 use crate::graph::{index_word, sample_index, Graph, VertexId};
+use crate::hub_cached::HubCache;
 use crate::topology::Topology;
 
 /// Key-derivation constant for the per-seed Philox keys (arbitrary odd
@@ -142,6 +149,9 @@ pub struct GeneratedGraph {
     /// Lazily computed bipartiteness (a BFS 2-coloring is `O(n + m)` hash
     /// evaluations — only paid if a caller actually asks).
     bipartite: OnceLock<bool>,
+    /// Exact sorted lists of the top-k vertices by stub count, if a hub
+    /// cache was built (`None` means every query takes the hashed path).
+    pub(crate) hub_cache: Option<HubCache>,
 }
 
 /// The supported random families with their derived constants.
@@ -614,6 +624,7 @@ impl GeneratedGraph {
             slot_offsets: Vec::new(),
             regular: None,
             bipartite: OnceLock::new(),
+            hub_cache: None,
         };
 
         // Pass 1 (parallel): per-vertex stub degrees, each a pure function
@@ -710,6 +721,7 @@ impl GeneratedGraph {
             slot_offsets,
             regular: regular.then_some(first as usize),
             bipartite: OnceLock::new(),
+            hub_cache: None,
         })
     }
 
@@ -771,7 +783,8 @@ impl GeneratedGraph {
     }
 
     /// Whether `(u, v)` is an edge — `O(deg)` (re-derives the smaller-stub
-    /// endpoint's neighbor list). Symmetric by the pairing involution; the
+    /// endpoint's neighbor list, or binary-searches it when the hub cache
+    /// holds it). Symmetric by the pairing involution; the
     /// property tests pin `contains_edge(u, v) == contains_edge(v, u)`.
     pub fn contains_edge(&self, u: VertexId, v: VertexId) -> bool {
         if u >= self.n || v >= self.n || u == v {
@@ -785,15 +798,18 @@ impl GeneratedGraph {
         self.with_neighbors(probe, |ns| ns.binary_search(&(other as u32)).is_ok())
     }
 
-    /// Runs `f` on `u`'s sorted simple neighbor list (assembled on the
-    /// stack for ordinary vertices, on the heap for hubs beyond
-    /// [`STACK_NEIGHBORS`] stubs).
+    /// Runs `f` on `u`'s sorted simple neighbor list: the hub cache's copy
+    /// when it holds `u`, otherwise derived on the stack for ordinary
+    /// vertices and on the heap for hubs beyond [`STACK_NEIGHBORS`] stubs.
     fn with_neighbors<T>(&self, u: VertexId, f: impl FnOnce(&[u32]) -> T) -> T {
+        let stubs = self.stub_degree(u);
+        if let Some(list) = self.hub_cache.as_ref().and_then(|c| c.list(u, stubs)) {
+            return f(list);
+        }
         let table = StubTable {
             offsets: &self.stub_offsets,
             coarse: &self.stub_coarse,
         };
-        let stubs = self.stub_degree(u);
         if stubs <= STACK_NEIGHBORS {
             let mut buf = [0u32; STACK_NEIGHBORS];
             let len = neighbors_into(&table, &self.pairing, u, &mut buf);
@@ -808,7 +824,8 @@ impl GeneratedGraph {
     }
 
     /// The `i`-th neighbor of `u` in ascending (sorted) order — exactly the
-    /// value the materialized CSR stores at `adjacency[offsets[u] + i]`.
+    /// value the materialized CSR stores at `adjacency[offsets[u] + i]`, read
+    /// from the hub cache when `u` is a hub.
     ///
     /// # Panics
     ///
@@ -995,6 +1012,7 @@ impl Topology for GeneratedGraph {
             + self.slot_offsets.capacity() * std::mem::size_of::<u32>()
             + self.stub_coarse.capacity() * std::mem::size_of::<u32>()
             + std::mem::size_of::<Self>()
+            + self.cache_bytes()
     }
 }
 

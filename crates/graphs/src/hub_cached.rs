@@ -1,133 +1,137 @@
-//! The hub-cached hybrid topology backend: exact CSR adjacency for the
-//! heavy tail, hashed derivation for everything else.
+//! The hub cache: a build option of [`GeneratedGraph`] that keeps exact
+//! CSR adjacency for the heavy tail while everything else stays hashed.
 //!
-//! [`HubCachedGraph`] layers over [`GeneratedGraph`] to remove the one
-//! asymmetry that prices agent protocols out of large generated graphs:
-//! a neighbor query on the hashed backend costs `O(deg)` Philox partner
-//! evaluations plus a sort, and stationary random walks land on
-//! high-degree vertices with probability proportional to their degree —
-//! so the *most expensive* vertices are queried the *most often*. On a
-//! Chung–Lu power-law instance the top few percent of vertices by degree
-//! carry the majority of the stationary mass, which means a small exact
-//! adjacency cache absorbs most agent steps.
+//! The cache removes the one asymmetry that prices agent protocols out of
+//! large generated graphs: a neighbor query on the hashed path costs
+//! `O(deg)` Philox partner evaluations plus a sort, and stationary random
+//! walks land on high-degree vertices with probability proportional to
+//! their degree — so the *most expensive* vertices are queried the *most
+//! often*. On a Chung–Lu power-law instance the top few percent of vertices
+//! by degree carry the majority of the stationary mass, which means a small
+//! exact adjacency cache absorbs most agent steps.
 //!
 //! # Construction
 //!
-//! The builder selects the **top-k vertices by stub count** (ties broken
-//! toward lower vertex ids, so selection is a pure function of the graph),
-//! where `k` comes from an explicit count, a byte budget, or both
+//! [`HubCacheBuilder`] selects the **top-k vertices by stub count** (ties
+//! broken toward lower vertex ids, so selection is a pure function of the
+//! graph), where `k` comes from an explicit count, a byte budget, or both
 //! (whichever is smaller). A `RUMOR_THREADS`-aware parallel pass — the
 //! same worker discipline as the generated backend's construction passes —
 //! then materializes each hub's exact sorted neighbor list through the
 //! *identical* enumeration path every hashed query takes
 //! (`GeneratedGraph`'s shared enumerate-sort-dedup routine), storing them
-//! in one CSR-style `(ids, offsets, adjacency)` triple.
+//! in one CSR-style `(ids, offsets, adjacency)` triple inside the graph.
+//! [`GeneratedGraph::over`] and [`GeneratedGraph::with_hub_count`] are the
+//! two common settings.
 //!
 //! # Determinism contract
 //!
-//! Draw streams are **bit-identical** to the uncached [`GeneratedGraph`]
-//! (and hence to the materialized CSR [`Graph`](crate::Graph)) by
-//! construction, not by luck:
+//! Draw streams are **bit-identical** to the graph without a cache (and
+//! hence to the materialized CSR [`Graph`](crate::Graph)) by construction,
+//! not by luck:
 //!
-//! * degrees are read from the inner backend's own offset table, so stream
-//!   consumption per draw is unchanged;
+//! * degrees come from the graph's own offset table, so stream consumption
+//!   per draw is unchanged;
 //! * index sampling flows through the same shared degree-specialized
 //!   sampler ([`crate::graph`]'s `index_word`/`sample_index`);
 //! * a sampled index resolves to the *i*-th **sorted** neighbor, and the
 //!   cached lists are produced by the same routine the hashed path sorts
 //!   with — a hub hit and a hash miss return the same vertex.
 //!
-//! `k = 0` degenerates to the pure hashed backend and `k = n` to a fully
-//! materialized adjacency, both bit-identical to each other — pinned by
-//! the property suite in `tests/generated_properties.rs` and the
-//! differential grids in `tests/generated_equivalence.rs`.
+//! `k = 0` is the graph without a cache and `k = n` a fully materialized
+//! adjacency, both bit-identical to each other — pinned by the property
+//! suite in `tests/generated_properties.rs` and the differential grids in
+//! `tests/generated_equivalence.rs`.
 //!
 //! # Cost model
 //!
-//! Memory adds `4·(k + 1) + 4·k + 4·Σ deg(hub)` bytes to the inner
-//! backend's `≈ 8n`; the budget builder caps the cache at a byte ceiling
-//! (accounted conservatively in pre-erasure stub counts, so the realized
-//! cache never exceeds it). Queries on cached vertices cost an `O(log k)`
-//! membership probe plus an `O(1)` array read instead of `O(deg)` Philox
-//! evaluations; tail vertices take one `O(1)` stub-count comparison and
-//! continue on the hashed path unchanged. The win is workload-dependent:
-//! agent walks (visit/meet-exchange) spend most draws on hubs and speed up
-//! by the cached fraction of stationary mass ([`HubCachedGraph::hub_hit_fraction`]);
-//! vertex protocols (push/pull) query every vertex equally often and gain
-//! little. `BENCH_random.json` records the measured speedups.
-
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+//! Memory adds `4·(k + 1) + 4·k + 4·Σ deg(hub)` bytes to the graph's
+//! `≈ 8n`; the budget builder caps the cache at a byte ceiling (accounted
+//! conservatively in pre-erasure stub counts, so the realized cache never
+//! exceeds it). Queries on cached vertices cost an `O(log k)` membership
+//! probe plus an `O(1)` array read instead of `O(deg)` Philox evaluations;
+//! tail vertices take one `O(1)` stub-count comparison and continue on the
+//! hashed path unchanged. The win is workload-dependent: agent walks
+//! (visit/meet-exchange) spend most draws on hubs and speed up by the
+//! cached fraction of stationary mass
+//! ([`GeneratedGraph::hub_hit_fraction`]); vertex protocols (push/pull)
+//! query every vertex equally often and gain little. `BENCH_random.json`
+//! records the measured speedups.
 
 use crate::generated::{configured_threads, GeneratedGraph};
-use crate::graph::{index_word, sample_index, VertexId};
+use crate::graph::VertexId;
 use crate::topology::Topology;
 
 /// Fallback hub count when the builder gets neither a count nor a budget:
 /// one cached vertex per this many graph vertices. On Chung–Lu exponents in
 /// `(2, 3]` the top `n/64` vertices carry most of the stationary mass while
-/// their adjacency stays well below the inner backend's own table
-/// footprint.
+/// their adjacency stays well below the graph's own table footprint.
 const DEFAULT_HUB_DIVISOR: usize = 64;
 
 /// Parallel cache fills below this many total adjacency entries stay on one
 /// worker (mirrors the generated backend's per-worker chunk floor).
 const PAR_FILL_FLOOR: usize = 16_384;
 
-/// A hub-cached hybrid over [`GeneratedGraph`]: exact CSR adjacency for the
-/// top-k vertices by stub count, hashed `O(deg)` derivation for the tail,
-/// draw streams bit-identical to the uncached backend (see the module docs
-/// above).
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// use rumor_graphs::{GeneratedGraph, HubCachedGraph, Topology};
-///
-/// let inner = GeneratedGraph::chung_lu(10_000, 2.5, 8.0, 7)?;
-/// let cached = HubCachedGraph::with_hub_count(inner.clone(), 256);
-/// assert_eq!(cached.hub_count(), 256);
-///
-/// // Draws are bit-identical to the uncached backend.
-/// let mut a = rand::rngs::StdRng::seed_from_u64(3);
-/// let mut b = a.clone();
-/// for u in 0..100 {
-///     assert_eq!(cached.random_neighbor(u, &mut a), inner.random_neighbor(u, &mut b));
-/// }
-/// # Ok::<(), rumor_graphs::GraphError>(())
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HubCachedGraph {
-    inner: GeneratedGraph,
+/// The former name of a [`GeneratedGraph`] carrying a hub cache, kept as an
+/// alias because existing callers still spell `HubCachedGraph::over(graph)`
+/// and `graph.is_hub(u)` with it — among them the benchmark crate, which
+/// builds against this API unchanged. The cache is a build option of the
+/// generated backend, not a backend of its own.
+pub type HubCachedGraph = GeneratedGraph;
+
+/// A built hub cache: exact sorted neighbor lists for the top-k vertices by
+/// stub count, stored CSR-style.
+#[derive(Debug, Clone)]
+pub(crate) struct HubCache {
     /// Stub count of the weakest hub — the `O(1)` tail quick-reject: a
-    /// vertex with a smaller stub count is never cached. `u32::MAX` when
-    /// the cache is empty (no stub count reaches it).
+    /// vertex with a smaller stub count is never cached.
     threshold: u32,
     /// Cached vertex ids, ascending (binary-searched for membership).
     hub_ids: Vec<u32>,
     /// `hub_offsets[h]..hub_offsets[h + 1]` brackets hub `h`'s list in
     /// `hub_adj` — prefix sums of the hubs' simple degrees (the total is at
-    /// most `2m ≤ u32::MAX`, inherited from the inner backend's check).
+    /// most `2m ≤ u32::MAX`, inherited from the graph's own check).
     hub_offsets: Vec<u32>,
     /// The concatenated exact sorted neighbor lists.
     hub_adj: Vec<u32>,
 }
 
-/// Builder for [`HubCachedGraph`]: choose the cache size by hub count, by
-/// byte budget, or both (the effective size is the smaller).
+impl HubCache {
+    /// `u`'s cached sorted neighbor list, given its stub count, or `None`
+    /// for tail vertices. The stub-count comparison rejects the tail in
+    /// `O(1)`; actual hubs pay one `O(log k)` binary search.
+    #[inline]
+    pub(crate) fn list(&self, u: VertexId, stubs: usize) -> Option<&[u32]> {
+        if (stubs as u32) < self.threshold {
+            return None;
+        }
+        let h = self.hub_ids.binary_search(&(u as u32)).ok()?;
+        Some(&self.hub_adj[self.hub_offsets[h] as usize..self.hub_offsets[h + 1] as usize])
+    }
+}
+
+/// Builder for a [`GeneratedGraph`]'s hub cache: choose the cache size by
+/// hub count, by byte budget, or both (the effective size is the smaller).
 ///
 /// # Examples
 ///
 /// ```
-/// use rumor_graphs::{GeneratedGraph, HubCacheBuilder};
+/// use rand::SeedableRng;
+/// use rumor_graphs::{GeneratedGraph, HubCacheBuilder, Topology};
 ///
-/// let inner = GeneratedGraph::chung_lu(5_000, 2.5, 6.0, 1)?;
+/// let plain = GeneratedGraph::chung_lu(5_000, 2.5, 6.0, 1)?;
 /// let cached = HubCacheBuilder::new()
 ///     .hub_count(500)
 ///     .cache_budget_bytes(64 << 10)
-///     .build(inner);
+///     .build(plain.clone());
 /// assert!(cached.cache_bytes() <= (64 << 10) + 4 * (500 + 1) + 4 * 500);
+///
+/// // Draws are bit-identical to the graph without a cache.
+/// let mut a = rand::rngs::StdRng::seed_from_u64(3);
+/// let mut b = a.clone();
+/// for u in 0..100 {
+///     assert_eq!(cached.random_neighbor(u, &mut a), plain.random_neighbor(u, &mut b));
+/// }
 /// # Ok::<(), rumor_graphs::GraphError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -158,54 +162,56 @@ impl HubCacheBuilder {
         self
     }
 
-    /// Builds the hub cache over `inner`. Deterministic: the selected hub
-    /// set and every cached list are pure functions of the inner graph and
-    /// the limits — thread counts cannot change a byte (the fill pass
-    /// honors `RUMOR_THREADS` exactly like the inner construction passes).
-    pub fn build(self, inner: GeneratedGraph) -> HubCachedGraph {
-        let n = inner.num_vertices();
+    /// Returns `graph` with a hub cache built to these limits, replacing any
+    /// cache it already had (an empty selection leaves it without one).
+    /// Deterministic: the selected hub set and every cached list are pure
+    /// functions of the graph and the limits — thread counts cannot change
+    /// a byte (the fill pass honors `RUMOR_THREADS` exactly like the
+    /// graph's construction passes).
+    pub fn build(self, mut graph: GeneratedGraph) -> GeneratedGraph {
+        let n = graph.num_vertices();
         let default_k = if self.hub_count.is_none() && self.budget_bytes.is_none() {
             Some(n.div_ceil(DEFAULT_HUB_DIVISOR))
         } else {
             None
         };
         let entry_budget = self.budget_bytes.map(|b| (b / 4) as u64);
-        let (threshold, hub_ids) = select_hubs(&inner, self.hub_count.or(default_k), entry_budget);
+        let (threshold, hub_ids) = select_hubs(&graph, self.hub_count.or(default_k), entry_budget);
 
         let mut hub_offsets = Vec::with_capacity(hub_ids.len() + 1);
         hub_offsets.push(0u32);
         let mut total = 0u32;
         for &u in &hub_ids {
-            total += inner.degree(u as usize) as u32; // Σ deg ≤ 2m ≤ u32::MAX
+            total += graph.degree(u as usize) as u32; // Σ deg ≤ 2m ≤ u32::MAX
             hub_offsets.push(total);
         }
         let mut hub_adj = vec![0u32; total as usize];
-        fill_cache(&inner, &hub_ids, &hub_offsets, &mut hub_adj);
-        HubCachedGraph {
-            inner,
+        fill_cache(&graph, &hub_ids, &hub_offsets, &mut hub_adj);
+        graph.hub_cache = (!hub_ids.is_empty()).then_some(HubCache {
             threshold,
             hub_ids,
             hub_offsets,
             hub_adj,
-        }
+        });
+        graph
     }
 }
 
 /// Picks the hub set: the top-k vertices by stub count, ties broken toward
 /// lower ids. Returns the stub-count threshold (the weakest hub's count;
-/// `u32::MAX` for an empty cache) and the ascending hub id list.
+/// `u32::MAX` for an empty selection) and the ascending hub id list.
 fn select_hubs(
-    inner: &GeneratedGraph,
+    graph: &GeneratedGraph,
     k_limit: Option<usize>,
     entry_budget: Option<u64>,
 ) -> (u32, Vec<u32>) {
-    let n = inner.num_vertices();
+    let n = graph.num_vertices();
     let k_budget = match entry_budget {
         None => n,
         Some(budget) => {
             // Largest k whose top-k stub counts fit the entry budget: sort
             // a copy descending and take the longest affordable prefix.
-            let mut sorted: Vec<u32> = (0..n).map(|u| inner.stub_degree(u) as u32).collect();
+            let mut sorted: Vec<u32> = (0..n).map(|u| graph.stub_degree(u) as u32).collect();
             sorted.sort_unstable_by(|a, b| b.cmp(a));
             let mut acc = 0u64;
             let mut k = 0usize;
@@ -226,15 +232,15 @@ fn select_hubs(
     // The k-th largest stub count (O(n) selection, no full sort), then one
     // ascending sweep keeps everything strictly above it plus the
     // lowest-id ties — fully deterministic.
-    let mut counts: Vec<u32> = (0..n).map(|u| inner.stub_degree(u) as u32).collect();
+    let mut counts: Vec<u32> = (0..n).map(|u| graph.stub_degree(u) as u32).collect();
     let (_, &mut threshold, _) = counts.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
     let greater = (0..n)
-        .filter(|&u| inner.stub_degree(u) as u32 > threshold)
+        .filter(|&u| graph.stub_degree(u) as u32 > threshold)
         .count();
     let mut ties_left = k - greater;
     let mut hub_ids = Vec::with_capacity(k);
     for u in 0..n {
-        let c = inner.stub_degree(u) as u32;
+        let c = graph.stub_degree(u) as u32;
         if c > threshold {
             hub_ids.push(u as u32);
         } else if c == threshold && ties_left > 0 {
@@ -249,7 +255,7 @@ fn select_hubs(
 /// splitting the hub range across scoped workers at entry-balanced
 /// boundaries (honoring `RUMOR_THREADS`). Each worker writes a disjoint
 /// slice, so the pass is deterministic at every thread count.
-fn fill_cache(inner: &GeneratedGraph, hub_ids: &[u32], hub_offsets: &[u32], hub_adj: &mut [u32]) {
+fn fill_cache(graph: &GeneratedGraph, hub_ids: &[u32], hub_offsets: &[u32], hub_adj: &mut [u32]) {
     let hubs = hub_ids.len();
     let total = hub_adj.len();
     if hubs == 0 {
@@ -260,7 +266,7 @@ fn fill_cache(inner: &GeneratedGraph, hub_ids: &[u32], hub_offsets: &[u32], hub_
         .min(total.div_ceil(PAR_FILL_FLOOR))
         .max(1);
     if workers == 1 {
-        fill_range(inner, hub_ids, hub_offsets, 0..hubs, hub_adj);
+        fill_range(graph, hub_ids, hub_offsets, 0..hubs, hub_adj);
         return;
     }
     // Worker w takes hubs [bounds[w], bounds[w + 1]): boundaries land at
@@ -281,7 +287,7 @@ fn fill_cache(inner: &GeneratedGraph, hub_ids: &[u32], hub_offsets: &[u32], hub_
             let entries = (hub_offsets[hi] - hub_offsets[lo]) as usize;
             let (slice, tail) = rest.split_at_mut(entries);
             rest = tail;
-            scope.spawn(move || fill_range(inner, hub_ids, hub_offsets, lo..hi, slice));
+            scope.spawn(move || fill_range(graph, hub_ids, hub_offsets, lo..hi, slice));
         }
     });
 }
@@ -289,7 +295,7 @@ fn fill_cache(inner: &GeneratedGraph, hub_ids: &[u32], hub_offsets: &[u32], hub_
 /// One worker's share of the cache fill: hubs `range`, writing into the
 /// sub-slice of the adjacency that starts at `hub_offsets[range.start]`.
 fn fill_range(
-    inner: &GeneratedGraph,
+    graph: &GeneratedGraph,
     hub_ids: &[u32],
     hub_offsets: &[u32],
     range: std::ops::Range<usize>,
@@ -299,209 +305,67 @@ fn fill_range(
     let mut scratch: Vec<u32> = Vec::new();
     for h in range {
         let u = hub_ids[h] as usize;
-        let stubs = inner.stub_degree(u);
+        let stubs = graph.stub_degree(u);
         if scratch.len() < stubs {
             scratch.resize(stubs, 0);
         }
-        let len = inner.neighbors_into_buf(u, &mut scratch);
-        debug_assert_eq!(len, inner.degree(u), "cache/degree disagreement at {u}");
+        let len = graph.neighbors_into_buf(u, &mut scratch);
+        debug_assert_eq!(len, graph.degree(u), "cache/degree disagreement at {u}");
         let start = hub_offsets[h] as usize - base;
         out[start..start + len].copy_from_slice(&scratch[..len]);
     }
 }
 
-impl HubCachedGraph {
-    /// The default policy: caches the top `n / 64` vertices by stub count
-    /// (see the module docs for why that covers most stationary mass on
-    /// power-law instances).
-    pub fn over(inner: GeneratedGraph) -> Self {
-        HubCacheBuilder::new().build(inner)
+impl GeneratedGraph {
+    /// This graph with the default hub cache: the top `n / 64` vertices by
+    /// stub count (see the module docs for why that covers most stationary
+    /// mass on power-law instances).
+    pub fn over(self) -> Self {
+        HubCacheBuilder::new().build(self)
     }
 
-    /// Caches exactly the top `k` vertices by stub count (clamped to `n`).
-    /// `k = 0` is the pure hashed backend; `k = n` materializes every list.
-    pub fn with_hub_count(inner: GeneratedGraph, k: usize) -> Self {
-        HubCacheBuilder::new().hub_count(k).build(inner)
+    /// This graph with a hub cache of exactly the top `k` vertices by stub
+    /// count (clamped to `n`). `k = 0` leaves it without a cache; `k = n`
+    /// materializes every list.
+    pub fn with_hub_count(self, k: usize) -> Self {
+        HubCacheBuilder::new().hub_count(k).build(self)
     }
 
-    /// The wrapped hashed backend.
-    pub fn inner(&self) -> &GeneratedGraph {
-        &self.inner
-    }
-
-    /// Unwraps back to the hashed backend, dropping the cache.
-    pub fn into_inner(self) -> GeneratedGraph {
-        self.inner
-    }
-
-    /// How many vertices are cached.
+    /// How many vertices the hub cache holds (`0` without a cache).
     pub fn hub_count(&self) -> usize {
-        self.hub_ids.len()
+        self.hub_cache.as_ref().map_or(0, |c| c.hub_ids.len())
     }
 
-    /// Whether `u`'s neighbor list is answered from the cache.
+    /// Whether `u`'s neighbor list is answered from the hub cache.
     pub fn is_hub(&self, u: VertexId) -> bool {
-        self.hub_slot(u).is_some()
+        u < self.num_vertices()
+            && self
+                .hub_cache
+                .as_ref()
+                .is_some_and(|c| c.list(u, self.stub_degree(u)).is_some())
     }
 
-    /// Bytes held by the cache itself (ids + offsets + adjacency), on top
-    /// of the inner backend's footprint.
+    /// Bytes held by the hub cache itself (ids + offsets + adjacency);
+    /// included in [`Topology::memory_bytes`].
     pub fn cache_bytes(&self) -> usize {
-        (self.hub_ids.capacity() + self.hub_offsets.capacity() + self.hub_adj.capacity())
-            * std::mem::size_of::<u32>()
+        self.hub_cache.as_ref().map_or(0, |c| {
+            (c.hub_ids.capacity() + c.hub_offsets.capacity() + c.hub_adj.capacity())
+                * std::mem::size_of::<u32>()
+        })
     }
 
-    /// The fraction of stationary probability mass the cache absorbs —
+    /// The fraction of stationary probability mass the hub cache absorbs —
     /// i.e. the expected hub-hit rate of a stationary agent's neighbor
-    /// draws: `Σ deg(hub) / 2m`. `0.0` on edgeless graphs.
+    /// draws: `Σ deg(hub) / 2m`. `0.0` without a cache or on edgeless
+    /// graphs.
     pub fn hub_hit_fraction(&self) -> f64 {
-        let total = self.inner.total_degree();
-        if total == 0 {
-            return 0.0;
-        }
-        f64::from(*self.hub_offsets.last().expect("offsets never empty")) / total as f64
-    }
-
-    /// The cache slot of `u`, or `None` for tail vertices. The stub-count
-    /// comparison rejects the tail in `O(1)`; actual hubs pay one
-    /// `O(log k)` binary search.
-    #[inline]
-    fn hub_slot(&self, u: VertexId) -> Option<usize> {
-        if u >= self.inner.num_vertices() || (self.inner.stub_degree(u) as u32) < self.threshold {
-            return None;
-        }
-        self.hub_ids.binary_search(&(u as u32)).ok()
-    }
-
-    /// The cached sorted neighbor list of hub slot `h`.
-    #[inline]
-    fn hub_list(&self, h: usize) -> &[u32] {
-        &self.hub_adj[self.hub_offsets[h] as usize..self.hub_offsets[h + 1] as usize]
-    }
-
-    /// The `i`-th neighbor of `u` in ascending order — identical to the
-    /// inner backend's [`GeneratedGraph::nth_neighbor`], read from the
-    /// cache when `u` is a hub.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `i` is out of range.
-    pub fn nth_neighbor(&self, u: VertexId, i: usize) -> VertexId {
-        match self.hub_slot(u) {
-            Some(h) => self.hub_list(h)[i] as VertexId,
-            None => self.inner.nth_neighbor(u, i),
-        }
-    }
-
-    /// Whether `(u, v)` is an edge — `O(log deg)` against a cached list
-    /// when either endpoint is a hub, the inner `O(deg)` derivation
-    /// otherwise. Agrees with [`GeneratedGraph::contains_edge`] everywhere.
-    pub fn contains_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if u == v {
-            return false;
-        }
-        for (a, b) in [(u, v), (v, u)] {
-            if a >= self.inner.num_vertices() {
-                return false;
+        let total = self.total_degree();
+        match &self.hub_cache {
+            Some(c) if total > 0 => {
+                f64::from(*c.hub_offsets.last().expect("offsets never empty")) / total as f64
             }
-            if let Some(h) = self.hub_slot(a) {
-                return self.hub_list(h).binary_search(&(b as u32)).is_ok();
-            }
+            _ => 0.0,
         }
-        self.inner.contains_edge(u, v)
-    }
-}
-
-impl Topology for HubCachedGraph {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.inner.num_vertices()
-    }
-
-    #[inline]
-    fn num_edges(&self) -> usize {
-        self.inner.num_edges()
-    }
-
-    #[inline]
-    fn degree(&self, u: VertexId) -> usize {
-        self.inner.degree(u)
-    }
-
-    fn for_each_neighbor(&self, u: VertexId, mut f: impl FnMut(VertexId)) {
-        match self.hub_slot(u) {
-            Some(h) => {
-                for &v in self.hub_list(h) {
-                    f(v as VertexId);
-                }
-            }
-            None => self.inner.for_each_neighbor(u, f),
-        }
-    }
-
-    #[inline]
-    fn random_neighbor<R: Rng + ?Sized>(&self, u: VertexId, rng: &mut R) -> Option<VertexId> {
-        let d = self.degree(u);
-        if d == 0 {
-            return None;
-        }
-        let i = sample_index(index_word(d), rng);
-        Some(self.nth_neighbor(u, i as usize))
-    }
-
-    #[inline]
-    fn random_neighbor_nonisolated<R: Rng + ?Sized>(&self, u: VertexId, rng: &mut R) -> VertexId {
-        let d = self.degree(u);
-        assert!(d != 0, "random_neighbor_nonisolated on isolated vertex {u}");
-        let i = sample_index(index_word(d), rng);
-        self.nth_neighbor(u, i as usize)
-    }
-
-    #[inline]
-    fn random_neighbor_with<R: Rng, F: FnOnce() -> R>(
-        &self,
-        u: VertexId,
-        make_rng: F,
-    ) -> Option<VertexId> {
-        let d = self.degree(u);
-        if d == 0 {
-            return None;
-        }
-        if d == 1 {
-            // Forced outcome; the unused draw is never computed — matching
-            // the inner backend's stream consumption exactly.
-            return Some(self.nth_neighbor(u, 0));
-        }
-        let mut rng = make_rng();
-        let i = sample_index(index_word(d), &mut rng);
-        Some(self.nth_neighbor(u, i as usize))
-    }
-
-    #[inline]
-    fn sample_stationary<R: Rng + ?Sized>(&self, rng: &mut R) -> VertexId {
-        self.inner.sample_stationary(rng)
-    }
-
-    #[inline]
-    fn sample_stationary_into<R: Rng + ?Sized>(
-        &self,
-        count: usize,
-        rng: &mut R,
-        out: &mut Vec<u32>,
-    ) {
-        self.inner.sample_stationary_into(count, rng, out);
-    }
-
-    fn is_bipartite(&self) -> bool {
-        self.inner.is_bipartite()
-    }
-
-    fn regular_degree(&self) -> Option<usize> {
-        self.inner.regular_degree()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes() + self.cache_bytes()
     }
 }
 
@@ -519,7 +383,7 @@ mod tests {
     fn hub_selection_takes_top_k_by_stub_count_with_low_id_ties() {
         let inner = chung_lu(400, 3);
         let k = 25;
-        let cached = HubCachedGraph::with_hub_count(inner.clone(), k);
+        let cached = inner.clone().with_hub_count(k);
         assert_eq!(cached.hub_count(), k);
         // Every cached vertex's stub count is >= every uncached vertex's,
         // and among equal counts the cached ids are the smallest.
@@ -548,7 +412,7 @@ mod tests {
     fn cached_lists_equal_inner_lists_everywhere() {
         let inner = chung_lu(500, 7);
         for k in [0usize, 1, 13, 100, 500, 5000] {
-            let cached = HubCachedGraph::with_hub_count(inner.clone(), k);
+            let cached = inner.clone().with_hub_count(k);
             assert_eq!(cached.hub_count(), k.min(500));
             for u in 0..500 {
                 assert_eq!(cached.degree(u), inner.degree(u));
@@ -564,7 +428,7 @@ mod tests {
     #[test]
     fn draw_streams_are_bit_identical_to_the_inner_backend() {
         let inner = chung_lu(300, 1);
-        let cached = HubCachedGraph::with_hub_count(inner.clone(), 40);
+        let cached = inner.clone().with_hub_count(40);
         for u in 0..300 {
             let mut a = StdRng::seed_from_u64(u as u64);
             let mut b = a.clone();
@@ -589,7 +453,7 @@ mod tests {
     #[test]
     fn membership_agrees_with_the_inner_backend() {
         let inner = chung_lu(120, 5);
-        let cached = HubCachedGraph::with_hub_count(inner.clone(), 12);
+        let cached = inner.clone().with_hub_count(12);
         for u in 0..120 {
             for v in 0..120 {
                 assert_eq!(
@@ -612,6 +476,9 @@ mod tests {
             .build(inner.clone());
         assert!(cached.hub_count() > 0, "2 KiB must afford some hubs");
         let adj_bytes = cached
+            .hub_cache
+            .as_ref()
+            .unwrap()
             .hub_adj
             .len()
             .checked_mul(std::mem::size_of::<u32>())
@@ -631,17 +498,25 @@ mod tests {
     #[test]
     fn default_policy_caches_a_64th_of_the_graph() {
         let inner = chung_lu(640, 4);
-        let cached = HubCachedGraph::over(inner);
+        let cached = inner.clone().over();
         assert_eq!(cached.hub_count(), 10);
         assert!(cached.hub_hit_fraction() > 0.0);
         assert!(cached.cache_bytes() > 0);
-        assert!(Topology::memory_bytes(&cached) > cached.inner().memory_bytes());
+        assert_eq!(
+            cached.memory_bytes(),
+            inner.memory_bytes() + cached.cache_bytes()
+        );
+        assert_eq!((inner.hub_count(), inner.cache_bytes()), (0, 0));
+        assert_eq!(inner.hub_hit_fraction(), 0.0);
+        // Rebuilding replaces the cache; k = 0 drops it.
+        assert_eq!(cached.clone().with_hub_count(3).hub_count(), 3);
+        assert!(cached.with_hub_count(0).hub_cache.is_none());
     }
 
     #[test]
     fn hub_hit_fraction_is_the_cached_stationary_mass() {
         let inner = chung_lu(500, 6);
-        let cached = HubCachedGraph::with_hub_count(inner.clone(), 30);
+        let cached = inner.clone().with_hub_count(30);
         let cached_degree: usize = (0..500)
             .filter(|&u| cached.is_hub(u))
             .map(|u| inner.degree(u))
@@ -649,36 +524,34 @@ mod tests {
         let want = cached_degree as f64 / inner.total_degree() as f64;
         assert!((cached.hub_hit_fraction() - want).abs() < 1e-12);
         // Full cache absorbs everything; empty cache nothing.
-        assert_eq!(
-            HubCachedGraph::with_hub_count(inner.clone(), 500).hub_hit_fraction(),
-            1.0
-        );
-        assert_eq!(
-            HubCachedGraph::with_hub_count(inner, 0).hub_hit_fraction(),
-            0.0
-        );
+        assert_eq!(inner.clone().with_hub_count(500).hub_hit_fraction(), 1.0);
+        assert_eq!(inner.with_hub_count(0).hub_hit_fraction(), 0.0);
     }
 
     #[test]
     fn fill_is_thread_invariant() {
         let inner = chung_lu(800, 8);
-        let reference = HubCachedGraph::with_hub_count(inner.clone(), 200);
+        let reference = inner.clone().with_hub_count(200);
         let previous = std::env::var_os("RUMOR_THREADS");
         std::env::set_var("RUMOR_THREADS", "3");
-        let threaded = HubCachedGraph::with_hub_count(inner, 200);
+        let threaded = inner.with_hub_count(200);
         match previous {
             Some(value) => std::env::set_var("RUMOR_THREADS", value),
             None => std::env::remove_var("RUMOR_THREADS"),
         }
-        assert_eq!(reference.hub_ids, threaded.hub_ids);
-        assert_eq!(reference.hub_offsets, threaded.hub_offsets);
-        assert_eq!(reference.hub_adj, threaded.hub_adj);
+        let (a, b) = (
+            reference.hub_cache.as_ref().unwrap(),
+            threaded.hub_cache.as_ref().unwrap(),
+        );
+        assert_eq!(a.hub_ids, b.hub_ids);
+        assert_eq!(a.hub_offsets, b.hub_offsets);
+        assert_eq!(a.hub_adj, b.hub_adj);
     }
 
     #[test]
     fn edgeless_graphs_degenerate_cleanly() {
         let inner = GeneratedGraph::gnp(50, 0.0, 1).unwrap();
-        let cached = HubCachedGraph::over(inner);
+        let cached = inner.over();
         assert_eq!(cached.hub_hit_fraction(), 0.0);
         assert_eq!(cached.degree(0), 0);
         let mut rng = StdRng::seed_from_u64(0);

@@ -6,7 +6,7 @@
 //!
 //! The crate provides:
 //!
-//! * the sealed [`Topology`] abstraction with four backends: an immutable
+//! * the sealed [`Topology`] abstraction with three backends: an immutable
 //!   CSR [`Graph`] optimized for the one operation every rumor protocol
 //!   performs millions of times — sampling a uniformly random neighbor
 //!   ([`Graph::random_neighbor`]) — the closed-form [`ImplicitGraph`]
@@ -15,11 +15,11 @@
 //!   fit `u32` adjacency indexing simulates bit-identically to a
 //!   materialized build), the seed-keyed [`GeneratedGraph`] deriving
 //!   random families — G(n, p) and Chung–Lu power-law — on demand from a
-//!   counter-based Philox hash in `O(n)` memory, and the hub-cached hybrid
-//!   [`HubCachedGraph`] layering exact CSR adjacency for the top-k
-//!   highest-degree vertices over the hashed path (the heavy tail
-//!   stationary agent walks revisit constantly). [`AnyTopology`] selects a
-//!   backend at runtime; all backends offer degree-proportional
+//!   counter-based Philox hash in `O(n)` memory, with an optional hub cache
+//!   ([`HubCacheBuilder`]) that stores exact CSR adjacency for the top-k
+//!   highest-degree vertices (the heavy tail stationary agent walks revisit
+//!   constantly). [`AnyTopology`] selects a backend at runtime and
+//!   [`with_topology!`] dispatches on it; all backends offer degree-proportional
 //!   (stationary) vertex sampling for placing random-walk agents
 //!   ([`Graph::sample_stationary`]);
 //! * [`GraphBuilder`] for incremental construction;

@@ -1,10 +1,10 @@
-//! The `Topology` abstraction: one sampling contract, four storage
+//! The `Topology` abstraction: one sampling contract, three storage
 //! backends.
 //!
 //! Every protocol in the workspace consumes a graph through a handful of
 //! operations — `degree`, uniform neighbor sampling, stationary vertex
 //! sampling, neighbor enumeration. The [`Topology`] trait captures exactly
-//! that surface, with four sealed implementations:
+//! that surface, with three sealed implementations:
 //!
 //! * [`Graph`] — the CSR backend: `O(n + m)` arrays, any simple undirected
 //!   graph.
@@ -17,12 +17,10 @@
 //!   seed-keyed random families (G(n, p), Chung–Lu power-law) whose edges
 //!   are derived on demand from a counter-based Philox hash. `O(n)` memory
 //!   (two offset tables), so 10⁷-vertex random topologies fit where their
-//!   CSR builds would not.
-//! * [`HubCachedGraph`](crate::HubCachedGraph) — the hub-cached hybrid: a
-//!   layer over the generated backend that materializes exact CSR
-//!   adjacency for the top-k vertices by degree, absorbing the hub-heavy
-//!   query mix of stationary agent walks while tail queries stay on the
-//!   hashed path.
+//!   CSR builds would not. Its optional hub cache
+//!   ([`HubCacheBuilder`](crate::HubCacheBuilder)) stores exact adjacency
+//!   for the top-k vertices by degree, absorbing the hub-heavy query mix of
+//!   stationary agent walks; it is a build option, not a fourth backend.
 //!
 //! **Determinism contract:** for equal degrees all backends consume the
 //! RNG stream identically (each draws neighbor indices through the shared
@@ -33,11 +31,12 @@
 //! [`GeneratedGraph`](crate::GeneratedGraph) is therefore bit-identical to
 //! the same simulation over the corresponding [`Graph`] — the cross-backend
 //! equivalence tests in `rumor-core` pin this for every family, protocol,
-//! engine, and thread count.
+//! engine, thread count and hub-cache size.
 //!
 //! The trait is deliberately **not** object safe (sampling methods are
 //! generic over the RNG so they inline); engines monomorphize over it,
-//! matching once per run on [`AnyTopology`] and never again — the same
+//! dispatching once per run on [`AnyTopology`] through
+//! [`with_topology!`](crate::with_topology) and never again — the same
 //! pattern the `FastStep` hot path uses for protocols.
 
 use std::ops::Range;
@@ -46,26 +45,24 @@ use rand::Rng;
 
 use crate::generated::GeneratedGraph;
 use crate::graph::{Graph, VertexId};
-use crate::hub_cached::HubCachedGraph;
 use crate::implicit::ImplicitGraph;
 
 mod sealed {
-    /// Seals [`super::Topology`]: the four backends are the whole design,
+    /// Seals [`super::Topology`]: the three backends are the whole design,
     /// and the bit-identity contract between them could not be promised for
     /// foreign implementations.
     pub trait Sealed {}
     impl Sealed for super::Graph {}
     impl Sealed for super::ImplicitGraph {}
     impl Sealed for super::GeneratedGraph {}
-    impl Sealed for super::HubCachedGraph {}
 }
 
-/// The operations a simulation needs from a graph, implemented by the four
+/// The operations a simulation needs from a graph, implemented by the three
 /// backends: CSR ([`Graph`]), implicit
-/// ([`ImplicitGraph`](crate::ImplicitGraph)), generated
-/// ([`GeneratedGraph`](crate::GeneratedGraph)) and hub-cached
-/// ([`HubCachedGraph`](crate::HubCachedGraph)). See the module-level
-/// documentation above for the cross-backend determinism contract.
+/// ([`ImplicitGraph`](crate::ImplicitGraph)) and generated
+/// ([`GeneratedGraph`](crate::GeneratedGraph), with or without its hub
+/// cache). See the module-level documentation above for the cross-backend
+/// determinism contract.
 ///
 /// Sealed: downstream crates consume, and cannot implement, this trait.
 pub trait Topology: sealed::Sealed + Sync {
@@ -157,7 +154,8 @@ pub trait Topology: sealed::Sealed + Sync {
 /// A topology with the backend chosen at runtime.
 ///
 /// Engines and the experiment harness accept this where the backend is a
-/// data-driven choice, match **once**, and run fully monomorphized
+/// data-driven choice, dispatch **once** with
+/// [`with_topology!`](crate::with_topology), and run fully monomorphized
 /// thereafter — the enum never sits on a sampling hot path.
 ///
 /// # Examples
@@ -179,42 +177,56 @@ pub enum AnyTopology {
     Csr(Graph),
     /// The closed-form implicit backend.
     Implicit(ImplicitGraph),
-    /// The seed-keyed generated random backend.
+    /// The seed-keyed generated random backend (with or without its hub
+    /// cache).
     Generated(GeneratedGraph),
-    /// The hub-cached hybrid over the generated backend.
-    HubCached(HubCachedGraph),
+}
+
+/// Evaluates `$body` with `$graph` bound to the concrete backend inside an
+/// [`AnyTopology`] — the one place that lists the variants. The body is
+/// expanded once per backend, so a generic call in it (such as
+/// `simulate_on(g, ..)`) monomorphizes for each; a closure could not do
+/// this, because closures cannot be generic.
+///
+/// # Examples
+///
+/// ```
+/// use rumor_graphs::{with_topology, AnyTopology, ImplicitGraph, Topology};
+///
+/// fn max_degree<G: Topology>(graph: &G) -> usize {
+///     graph.vertices().map(|u| graph.degree(u)).max().unwrap_or(0)
+/// }
+///
+/// let topology = AnyTopology::from(ImplicitGraph::star(10)?);
+/// assert_eq!(with_topology!(&topology, g => max_degree(g)), 10);
+/// # Ok::<(), rumor_graphs::GraphError>(())
+/// ```
+#[macro_export]
+macro_rules! with_topology {
+    ($topology:expr, $graph:ident => $body:expr) => {
+        match $topology {
+            $crate::AnyTopology::Csr($graph) => $body,
+            $crate::AnyTopology::Implicit($graph) => $body,
+            $crate::AnyTopology::Generated($graph) => $body,
+        }
+    };
 }
 
 impl AnyTopology {
     /// Number of vertices `n`.
     pub fn num_vertices(&self) -> usize {
-        match self {
-            AnyTopology::Csr(g) => g.num_vertices(),
-            AnyTopology::Implicit(g) => g.num_vertices(),
-            AnyTopology::Generated(g) => g.num_vertices(),
-            AnyTopology::HubCached(g) => g.num_vertices(),
-        }
+        with_topology!(self, g => g.num_vertices())
     }
 
     /// Number of undirected edges `|E|`.
     pub fn num_edges(&self) -> usize {
-        match self {
-            AnyTopology::Csr(g) => g.num_edges(),
-            AnyTopology::Implicit(g) => g.num_edges(),
-            AnyTopology::Generated(g) => g.num_edges(),
-            AnyTopology::HubCached(g) => g.num_edges(),
-        }
+        with_topology!(self, g => g.num_edges())
     }
 
     /// Bytes of storage backing the topology (see
     /// [`Topology::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {
-        match self {
-            AnyTopology::Csr(g) => g.memory_bytes(),
-            AnyTopology::Implicit(g) => g.memory_bytes(),
-            AnyTopology::Generated(g) => g.memory_bytes(),
-            AnyTopology::HubCached(g) => Topology::memory_bytes(g),
-        }
+        with_topology!(self, g => Topology::memory_bytes(g))
     }
 
     /// The CSR backend, if that is what this topology holds.
@@ -240,14 +252,6 @@ impl AnyTopology {
             _ => None,
         }
     }
-
-    /// The hub-cached backend, if that is what this topology holds.
-    pub fn as_hub_cached(&self) -> Option<&HubCachedGraph> {
-        match self {
-            AnyTopology::HubCached(g) => Some(g),
-            _ => None,
-        }
-    }
 }
 
 impl From<Graph> for AnyTopology {
@@ -265,12 +269,6 @@ impl From<ImplicitGraph> for AnyTopology {
 impl From<GeneratedGraph> for AnyTopology {
     fn from(graph: GeneratedGraph) -> Self {
         AnyTopology::Generated(graph)
-    }
-}
-
-impl From<HubCachedGraph> for AnyTopology {
-    fn from(graph: HubCachedGraph) -> Self {
-        AnyTopology::HubCached(graph)
     }
 }
 
@@ -292,29 +290,18 @@ mod tests {
 
     #[test]
     fn any_topology_carries_the_generated_backend() {
-        let generated = AnyTopology::from(GeneratedGraph::gnp(64, 0.1, 3).unwrap());
-        assert_eq!(generated.num_vertices(), 64);
-        assert!(generated.as_generated().is_some());
-        assert!(generated.as_csr().is_none() && generated.as_implicit().is_none());
-        assert_eq!(
-            generated.num_edges(),
-            generated.as_generated().unwrap().num_edges()
-        );
-        assert!(generated.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn any_topology_carries_the_hub_cached_backend() {
-        let inner = GeneratedGraph::gnp(64, 0.1, 3).unwrap();
-        let cached = AnyTopology::from(HubCachedGraph::with_hub_count(inner, 8));
-        assert_eq!(cached.num_vertices(), 64);
-        assert!(cached.as_hub_cached().is_some());
-        assert!(cached.as_generated().is_none() && cached.as_csr().is_none());
-        assert_eq!(
-            cached.num_edges(),
-            cached.as_hub_cached().unwrap().num_edges()
-        );
-        assert!(cached.memory_bytes() > 0);
+        let plain = GeneratedGraph::gnp(64, 0.1, 3).unwrap();
+        let cached = plain.clone().with_hub_count(8);
+        for (graph, hubs) in [(plain, 0), (cached, 8)] {
+            let generated = AnyTopology::from(graph);
+            assert_eq!(generated.num_vertices(), 64);
+            assert!(generated.as_csr().is_none() && generated.as_implicit().is_none());
+            let inner = generated.as_generated().unwrap();
+            assert_eq!(inner.hub_count(), hubs);
+            assert_eq!(generated.num_edges(), inner.num_edges());
+            assert_eq!(generated.memory_bytes(), Topology::memory_bytes(inner));
+            assert!(generated.memory_bytes() > 0);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use rumor_graphs::{algorithms, GeneratedGraph, Graph, HubCachedGraph, Topology};
+use rumor_graphs::{algorithms, GeneratedGraph, Graph, Topology};
 
 /// The differential grid: both families across sizes, densities/exponents,
 /// and seeds — small enough to materialize, varied enough to cover isolated
@@ -237,7 +237,7 @@ fn hub_cached_counts_degrees_and_sorted_lists_match_inner_and_csr() {
         let base = label(&g);
         let n = g.num_vertices();
         for k in hub_counts(n) {
-            let h = HubCachedGraph::with_hub_count(g.clone(), k);
+            let h = g.clone().with_hub_count(k);
             let label = format!("{base} k={k}");
             assert_eq!(h.num_vertices(), n, "{label} n");
             assert_eq!(h.num_edges(), g.num_edges(), "{label} m");
@@ -266,7 +266,7 @@ fn hub_cached_draw_streams_are_bit_identical_to_inner_and_csr() {
         let base = label(&g);
         let n = g.num_vertices();
         for k in hub_counts(n) {
-            let h = HubCachedGraph::with_hub_count(g.clone(), k);
+            let h = g.clone().with_hub_count(k);
             let label = format!("{base} k={k}");
             for u in 0..n {
                 let mut a = StdRng::seed_from_u64(u as u64 ^ g.seed());
@@ -309,7 +309,7 @@ fn hub_cached_membership_and_predicates_match_inner_and_csr() {
         let base = label(&g);
         let n = g.num_vertices();
         for k in hub_counts(n) {
-            let h = HubCachedGraph::with_hub_count(g.clone(), k);
+            let h = g.clone().with_hub_count(k);
             let label = format!("{base} k={k}");
             assert_eq!(
                 Topology::is_bipartite(&h),
@@ -341,7 +341,7 @@ fn hub_cached_stationary_draws_are_bit_identical_to_inner() {
             continue;
         }
         let base = label(&g);
-        let h = HubCachedGraph::over(g.clone());
+        let h = g.clone().over();
         let mut a = StdRng::seed_from_u64(1234);
         let mut b = a.clone();
         for draw in 0..200 {
@@ -363,7 +363,7 @@ fn hub_cached_stationary_draws_are_bit_identical_to_inner() {
 #[test]
 fn hub_cached_lazy_rng_neighbor_matches_plain_draws() {
     let g = GeneratedGraph::chung_lu(120, 2.5, 6.0, 2).unwrap();
-    let h = HubCachedGraph::over(g.clone());
+    let h = g.clone().over();
     for u in 0..g.num_vertices() {
         match g.degree(u) {
             0 => {

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use rumor_graphs::{GeneratedGraph, HubCachedGraph, Topology};
+use rumor_graphs::{GeneratedGraph, Topology};
 
 proptest! {
     /// Edge membership is symmetric: the pairing is an involution on stubs,
@@ -98,8 +98,8 @@ proptest! {
     ) {
         let inner =
             GeneratedGraph::chung_lu(n, 2.5, 4.0_f64.min((n - 1) as f64), seed).unwrap();
-        let none = HubCachedGraph::with_hub_count(inner.clone(), 0);
-        let all = HubCachedGraph::with_hub_count(inner.clone(), n);
+        let none = inner.clone().with_hub_count(0);
+        let all = inner.clone().with_hub_count(n);
         prop_assert_eq!(none.hub_count(), 0);
         prop_assert_eq!(all.hub_count(), n);
         for u in 0..n {

@@ -8,7 +8,8 @@ use rand::SeedableRng;
 use rumor_analysis::{Summary, Table};
 use rumor_core::instrument::{CCounterTrace, CoupledRun};
 use rumor_core::{
-    build_protocol, simulate, AgentConfig, ProtocolKind, ProtocolOptions, SimulationSpec,
+    build_protocol, simulate, simulate_on, AgentConfig, ProtocolKind, ProtocolOptions,
+    SimulationSpec,
 };
 use rumor_experiments::{all_experiment_ids, run_experiment, ExperimentConfig};
 use rumor_graphs::algorithms::{diameter_exact, is_connected, DegreeStats};
@@ -17,6 +18,7 @@ use rumor_graphs::generators::{
     hypercube, lollipop, path, random_regular, star, torus, CycleOfStarsOfCliques, HeavyBinaryTree,
     SiameseHeavyBinaryTree,
 };
+use rumor_graphs::{GeneratedGraph, Topology};
 use rumor_walks::{estimators, Placement, RandomWalk, WalkConfig};
 
 /// Every generator produces a connected graph that the whole protocol suite
@@ -165,4 +167,48 @@ fn experiment_registry_smoke() {
     let report = run_experiment("fig1b-double-star", &ExperimentConfig::smoke()).unwrap();
     assert!(report.to_markdown().contains("Lemma 3"));
     assert!(run_experiment("does-not-exist", &ExperimentConfig::smoke()).is_none());
+}
+
+/// The hub cache is a build option of the generated backend, not a model
+/// change: on one Chung–Lu instance, push and visit-exchange give the same
+/// outcome, round history included, on the CSR materialization, the plain
+/// `GeneratedGraph`, and the graph with a cache of `k = 0`, the default
+/// `n / 64` and `k = n` — on the sequential engine and on 2-thread sharded
+/// runs.
+#[test]
+fn hub_cache_sizes_and_csr_give_identical_outcomes() {
+    let plain = GeneratedGraph::chung_lu(400, 2.5, 6.0, 11).unwrap();
+    let n = plain.num_vertices();
+    let csr = plain.materialize().unwrap();
+    let cached = [
+        plain.clone().with_hub_count(0),
+        plain.clone().over(),
+        plain.clone().with_hub_count(n),
+    ];
+    let hubs: Vec<usize> = cached.iter().map(|g| g.hub_count()).collect();
+    assert_eq!(hubs, [0, n.div_ceil(64), n]);
+    for (kind, seed) in [ProtocolKind::Push, ProtocolKind::VisitExchange]
+        .into_iter()
+        .flat_map(|kind| [(kind, 5), (kind, 6)])
+    {
+        let sequential = SimulationSpec::new(kind)
+            .with_seed(seed)
+            .with_max_rounds(120)
+            .with_options(ProtocolOptions::with_history());
+        for spec in [sequential.clone(), sequential.with_sharded(2)] {
+            let want = simulate_on(&csr, 0, &spec);
+            assert!(
+                want.informed_vertices > n / 2,
+                "{kind}: the rumor must spread"
+            );
+            assert_eq!(
+                simulate_on(&plain, 0, &spec),
+                want,
+                "{kind} plain generated"
+            );
+            for (graph, k) in cached.iter().zip(&hubs) {
+                assert_eq!(simulate_on(graph, 0, &spec), want, "{kind} cache k={k}");
+            }
+        }
+    }
 }
